@@ -137,24 +137,75 @@ double now_seconds() {
       .count();
 }
 
-// Times `fn` (which must redo the full operation each call) with enough
-// repetitions to get a stable reading; returns best seconds per call.
+// One timing sample of `fn` (which must redo the full operation each call):
+// seconds per call, averaged over enough calls to amount to ~5e7 flops.
 template <typename F>
-double time_op(double flops, int outer_reps, F&& fn) {
+double time_op(double flops, F&& fn) {
   const int reps = std::clamp(static_cast<int>(5e7 / std::max(flops, 1.0)), 1, 20000);
-  double best = 1e300;
-  for (int rep = 0; rep < outer_reps; ++rep) {
-    const double t0 = now_seconds();
-    for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, (now_seconds() - t0) / reps);
-  }
-  return best;
+  const double t0 = now_seconds();
+  for (int r = 0; r < reps; ++r) fn();
+  return (now_seconds() - t0) / reps;
 }
 
 struct KernelSeries {
   std::vector<double> ref_gflops;
   std::vector<double> scalar_gflops;  ///< packed engine, Isa::Scalar (PR 2 engine)
   std::vector<double> blk_gflops;     ///< packed engine, active ISA + profile
+};
+
+// Best seconds per call of each kernel under one configuration.
+struct KernelBest {
+  double nn = 1e300, nt = 1e300, sy = 1e300, tr = 1e300;
+};
+
+// The inputs of one sweep size and the best timings of its three
+// configurations (ref, scalar anchor, blk).
+struct SweepCase {
+  index_t n;
+  std::vector<double> a, b, c, tri, rhs0;
+  double gemm_flops, syrk_flops, trsm_flops;
+  KernelBest ref, scalar, blk;
+
+  SweepCase(Rng& rng, int ni)
+      : n(ni),
+        a(static_cast<std::size_t>(n * n)),
+        b(a.size()),
+        c(a.size()),
+        tri(a.size()),
+        rhs0(a.size()),
+        gemm_flops(flops::gemm(n, n, n)),
+        syrk_flops(flops::syrk(n, n)),
+        trsm_flops(flops::trsm(n, n, false)) {
+    std::vector<double> c0(a.size());  // drawn only to keep the input stream fixed
+    fill_general(rng, a.data(), n, n, n);
+    fill_general(rng, b.data(), n, n, n);
+    fill_general(rng, c0.data(), n, n, n);
+    fill_general(rng, rhs0.data(), n, n, n);
+    fill_general(rng, tri.data(), n, n, n);
+    MatrixView<double> triv(tri.data(), n, n, n);
+    for (index_t d = 0; d < n; ++d) triv(d, d) = 4.0 + static_cast<double>(d);
+  }
+
+  // One sample of all four kernels under the current pins, folded into `best`.
+  void measure(KernelBest& best) {
+    ConstMatrixView<double> av(a.data(), n, n, n);
+    ConstMatrixView<double> bv(b.data(), n, n, n);
+    ConstMatrixView<double> triv(tri.data(), n, n, n);
+    MatrixView<double> cv(c.data(), n, n, n);
+    best.nn = std::min(best.nn, time_op(gemm_flops, [&] {
+      blas::gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, av, bv, 0.0, cv);
+    }));
+    best.nt = std::min(best.nt, time_op(gemm_flops, [&] {
+      blas::gemm<double>(Trans::NoTrans, Trans::Trans, 1.0, av, bv, 0.0, cv);
+    }));
+    best.sy = std::min(best.sy, time_op(syrk_flops, [&] {
+      blas::syrk<double>(Uplo::Lower, Trans::NoTrans, 1.0, av, 0.0, cv);
+    }));
+    best.tr = std::min(best.tr, time_op(trsm_flops, [&] {
+      c = rhs0;
+      blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0, triv, cv);
+    }));
+  }
 };
 
 std::string json_array(const std::vector<double>& v) {
@@ -237,81 +288,58 @@ int main(int argc, char** argv) {
 
   KernelSeries gemm_nn, gemm_nt, syrk_s, trsm_s;
   Rng rng(o.seed);
+  std::vector<SweepCase> cases;
+  cases.reserve(o.sizes.size());
+  for (int n : o.sizes) cases.emplace_back(rng, n);
+
+  // The sweep runs --reps rounds over every size and configuration, and
+  // each (size, configuration) keeps its best sample. Interleaving spreads
+  // every best over the whole sweep, so a slow stretch of a shared host
+  // costs each series one sample instead of costing one series all of its
+  // samples, which would skew the ratios the gates compare (blk vs scalar
+  // at one size, blk n=512 vs blk n=384).
+  for (int round = 0; round < o.reps; ++round) {
+    for (SweepCase& sc : cases) {
+      {
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceRef);
+        sc.measure(sc.ref);
+      }
+      {
+        // The scalar anchor: Isa::Scalar with the default profile is exactly
+        // the pre-vectorization engine. The outer ProfileGuard restores any
+        // tuned profile once the IsaGuard has switched the ISA back.
+        blas::micro::ProfileGuard pguard(blas::micro::active_profile());
+        blas::micro::IsaGuard iguard(blas::micro::Isa::Scalar);
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
+        sc.measure(sc.scalar);
+      }
+      {
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
+        sc.measure(sc.blk);
+      }
+    }
+  }
 
   std::printf("  %5s | %28s | %28s | %28s | %28s\n", "n", "gemm NN ref/sc/blk Gf/s",
               "gemm NT ref/sc/blk Gf/s", "syrk ref/sc/blk Gf/s", "trsm ref/sc/blk Gf/s");
-  for (int ni : o.sizes) {
-    const index_t n = ni;
-    const std::size_t nn = static_cast<std::size_t>(n * n);
-    std::vector<double> a(nn), b(nn), c(nn), c0(nn), tri(nn), rhs0(nn);
-    fill_general(rng, a.data(), n, n, n);
-    fill_general(rng, b.data(), n, n, n);
-    fill_general(rng, c0.data(), n, n, n);
-    fill_general(rng, rhs0.data(), n, n, n);
-    fill_general(rng, tri.data(), n, n, n);
-    MatrixView<double> triv(tri.data(), n, n, n);
-    for (index_t d = 0; d < n; ++d) triv(d, d) = 4.0 + static_cast<double>(d);
-
-    ConstMatrixView<double> av(a.data(), n, n, n);
-    ConstMatrixView<double> bv(b.data(), n, n, n);
-    MatrixView<double> cv(c.data(), n, n, n);
-
-    const double gemm_flops = flops::gemm(n, n, n);
-    const double syrk_flops = flops::syrk(n, n);
-    const double trsm_flops = flops::trsm(n, n, false);
-
-    // One measurement pass of all four kernels under the current pins.
-    double t_nn, t_nt, t_sy, t_tr;
-    auto measure = [&] {
-      t_nn = time_op(gemm_flops, o.reps, [&] {
-        blas::gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, av, bv, 0.0, cv);
-      });
-      t_nt = time_op(gemm_flops, o.reps, [&] {
-        blas::gemm<double>(Trans::NoTrans, Trans::Trans, 1.0, av, bv, 0.0, cv);
-      });
-      t_sy = time_op(syrk_flops, o.reps, [&] {
-        blas::syrk<double>(Uplo::Lower, Trans::NoTrans, 1.0, av, 0.0, cv);
-      });
-      t_tr = time_op(trsm_flops, o.reps, [&] {
-        c = rhs0;
-        blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0, triv,
-                           cv);
-      });
+  for (const SweepCase& sc : cases) {
+    auto record = [&](std::vector<double> KernelSeries::*member, const KernelBest& best) {
+      (gemm_nn.*member).push_back(sc.gemm_flops / best.nn * 1e-9);
+      (gemm_nt.*member).push_back(sc.gemm_flops / best.nt * 1e-9);
+      (syrk_s.*member).push_back(sc.syrk_flops / best.sy * 1e-9);
+      (trsm_s.*member).push_back(sc.trsm_flops / best.tr * 1e-9);
     };
-    auto record = [&](std::vector<double> KernelSeries::*member) {
-      (gemm_nn.*member).push_back(gemm_flops / t_nn * 1e-9);
-      (gemm_nt.*member).push_back(gemm_flops / t_nt * 1e-9);
-      (syrk_s.*member).push_back(syrk_flops / t_sy * 1e-9);
-      (trsm_s.*member).push_back(trsm_flops / t_tr * 1e-9);
-    };
-    {
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceRef);
-      measure();
-      record(&KernelSeries::ref_gflops);
-    }
-    {
-      // The scalar anchor: Isa::Scalar with the default profile is exactly
-      // the pre-vectorization engine. The outer ProfileGuard restores any
-      // tuned profile once the IsaGuard has switched the ISA back.
-      blas::micro::ProfileGuard pguard(blas::micro::active_profile());
-      blas::micro::IsaGuard iguard(blas::micro::Isa::Scalar);
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
-      measure();
-      record(&KernelSeries::scalar_gflops);
-    }
-    {
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
-      measure();
-      record(&KernelSeries::blk_gflops);
-    }
+    record(&KernelSeries::ref_gflops, sc.ref);
+    record(&KernelSeries::scalar_gflops, sc.scalar);
+    record(&KernelSeries::blk_gflops, sc.blk);
     auto row = [](const KernelSeries& s) {
       static char buf[64];
       std::snprintf(buf, sizeof buf, "%8.2f/%8.2f/%8.2f", s.ref_gflops.back(),
                     s.scalar_gflops.back(), s.blk_gflops.back());
       return std::string(buf);
     };
-    std::printf("  %5d | %s | %s | %s | %s\n", ni, row(gemm_nn).c_str(), row(gemm_nt).c_str(),
-                row(syrk_s).c_str(), row(trsm_s).c_str());
+    std::printf("  %5d | %s | %s | %s | %s\n", static_cast<int>(sc.n), row(gemm_nn).c_str(),
+                row(gemm_nt).c_str(), row(syrk_s).c_str(), row(trsm_s).c_str());
   }
 
   // Minimum double-precision gemm speedup over the n >= 64 sizes (the

@@ -1,7 +1,5 @@
 #include "vbatch/cpu/mkl_compat.hpp"
 
-#include <algorithm>
-
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/util/flops.hpp"
 
@@ -17,44 +15,7 @@ CpuCallResult potrf_sequential(const CpuSpec& spec, Uplo uplo, MatrixView<T> a, 
   return r;
 }
 
-template <typename T>
-CpuCallResult potrf_multithreaded(const CpuSpec& spec, Uplo uplo, MatrixView<T> a,
-                                  bool execute) {
-  CpuCallResult r;
-  const int n = static_cast<int>(a.rows());
-  r.seconds = spec.multithreaded_seconds(precision_v<T>, n, flops::potrf(n));
-  if (execute) r.info = blas::potrf<T>(uplo, a);
-  return r;
-}
-
-template <typename T>
-CpuCallResult gemm_sequential(const CpuSpec& spec, Trans ta, Trans tb, T alpha,
-                              ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-                              MatrixView<T> c, bool execute) {
-  CpuCallResult r;
-  const auto m = c.rows();
-  const auto n = c.cols();
-  const auto k = ta == Trans::NoTrans ? a.cols() : a.rows();
-  // gemm efficiency ramps like the factorizations, keyed on the smallest dim.
-  const int key = static_cast<int>(std::min({m, n, k}));
-  r.seconds = flops::gemm(m, n, k) /
-              (spec.core_peak_gflops(precision_v<T>) * 1e9 *
-               spec.lapack_efficiency(precision_v<T>, key));
-  if (execute) blas::gemm<T>(ta, tb, alpha, a, b, beta, c);
-  return r;
-}
-
 template CpuCallResult potrf_sequential<float>(const CpuSpec&, Uplo, MatrixView<float>, bool);
 template CpuCallResult potrf_sequential<double>(const CpuSpec&, Uplo, MatrixView<double>, bool);
-template CpuCallResult potrf_multithreaded<float>(const CpuSpec&, Uplo, MatrixView<float>,
-                                                  bool);
-template CpuCallResult potrf_multithreaded<double>(const CpuSpec&, Uplo, MatrixView<double>,
-                                                   bool);
-template CpuCallResult gemm_sequential<float>(const CpuSpec&, Trans, Trans, float,
-                                              ConstMatrixView<float>, ConstMatrixView<float>,
-                                              float, MatrixView<float>, bool);
-template CpuCallResult gemm_sequential<double>(const CpuSpec&, Trans, Trans, double,
-                                               ConstMatrixView<double>, ConstMatrixView<double>,
-                                               double, MatrixView<double>, bool);
 
 }  // namespace vbatch::cpu

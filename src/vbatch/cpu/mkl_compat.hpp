@@ -23,16 +23,4 @@ template <typename T>
 CpuCallResult potrf_sequential(const CpuSpec& spec, Uplo uplo, MatrixView<T> a,
                                bool execute = true);
 
-/// Multithreaded potrf (all cores on this one matrix): real numerics +
-/// modelled parallel time including fork/join overhead.
-template <typename T>
-CpuCallResult potrf_multithreaded(const CpuSpec& spec, Uplo uplo, MatrixView<T> a,
-                                  bool execute = true);
-
-/// Sequential gemm used by the hybrid baseline's panel updates.
-template <typename T>
-CpuCallResult gemm_sequential(const CpuSpec& spec, Trans ta, Trans tb, T alpha,
-                              ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-                              MatrixView<T> c, bool execute = true);
-
 }  // namespace vbatch::cpu

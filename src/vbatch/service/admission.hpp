@@ -1,11 +1,12 @@
 // Admission control — the overload-protection layer of the batch service
 // (docs/service.md, "Overload & admission").
 //
-// PR 8's service admits unboundedly: a burst beyond pool capacity, or an
-// executor dying mid-trace, turns the coalescer queue into an unbounded
-// latency amplifier. The AdmissionController closes that hole with three
-// deterministic policies, all pure functions of the virtual clock and the
-// request stream (so trace replay stays bit-reproducible):
+// Without it the service admits unboundedly: a burst beyond pool capacity,
+// or an executor dying mid-trace, turns the coalescer queue into an
+// unbounded latency amplifier. The AdmissionController closes that hole
+// with three deterministic policies, all pure functions of the instants
+// the caller passes and the request stream (so trace replay stays
+// bit-reproducible):
 //
 //   * per-tenant token buckets in flops currency — each tenant accrues
 //     tokens at (tenant-rate × weight) Gflop/s, capped at a burst window;
@@ -28,6 +29,11 @@
 // the fault layer reports an executor permanently lost. After a drop, a
 // shed plan drains the queued backlog to a bounded horizon, lowest-weight
 // tenants first.
+//
+// The controller lives inside the service's one dispatcher core
+// (service.cpp), next to the coalescer it guards: both replay_trace and
+// the live Service check an arrival against the core's own backlog, and
+// the live Service does so under the same lock that serialises the core.
 #pragma once
 
 #include <cstdint>
@@ -70,13 +76,13 @@ enum class AdmissionDecision : std::uint8_t {
 }
 
 /// Knobs of the overload-protection layer. Defaults keep every policy off
-/// (enabled=false reproduces the PR 8 admit-everything service exactly);
+/// (enabled=false admits everything);
 /// the CLI's --max-queue/--tenant-rate and the VBATCH_ADMISSION env knob
 /// turn individual policies on.
 struct AdmissionConfig {
   bool enabled = false;
-  /// Pending-request watermark across the whole service (ingress queue +
-  /// coalescer). 0 = unbounded.
+  /// Pending-request watermark across the whole service (requests queued
+  /// in the coalescer). 0 = unbounded.
   int max_queue = 0;
   /// Pending payload watermark in bytes (the footprint half of the queue
   /// bound). 0 = unbounded.
@@ -109,7 +115,7 @@ struct AdmissionConfig {
 
 /// Queue state snapshot an admission check runs against.
 struct QueueSnapshot {
-  int depth = 0;          ///< pending requests (ingress + coalescer)
+  int depth = 0;          ///< pending requests (queued in the coalescer)
   double bytes = 0.0;     ///< pending payload bytes
   double flops = 0.0;     ///< pending useful flops (the backlog)
   double busy_until = 0.0;  ///< service-clock instant the pool frees up

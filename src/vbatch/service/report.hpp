@@ -100,9 +100,6 @@ struct ServiceReport {
   [[nodiscard]] double gflops() const noexcept {
     return makespan > 0.0 ? flops / makespan * 1e-9 : 0.0;
   }
-  [[nodiscard]] double throughput_rps() const noexcept {
-    return makespan > 0.0 ? requests / makespan : 0.0;
-  }
   /// On-time useful throughput in Gflop/s — the overload bench's gate
   /// currency (raw gflops() cannot distinguish admission from collapse:
   /// both eventually serve at capacity, but only admission serves work

@@ -8,12 +8,12 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "vbatch/core/batch.hpp"
 #include "vbatch/core/potrs_vbatched.hpp"
 #include "vbatch/hetero/executor.hpp"
-#include "vbatch/service/request_queue.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/rng.hpp"
 
@@ -207,106 +207,163 @@ BatchRecord record_of(int id, const Coalescer::Flush& flush, const LaunchResult&
   return b;
 }
 
-}  // namespace
-
-ServiceReport replay_trace(hetero::DevicePool& pool, const Trace& trace,
-                           const ServiceConfig& cfg) {
-  Coalescer coalescer(cfg.coalesce);
-  AdmissionController admission(resolve_admission(cfg.admission), executor_peaks(pool));
-  std::map<std::string, double> weights;
-  for (const auto& [tenant, weight] : trace.tenants) {
-    coalescer.set_weight(tenant, weight);
-    admission.set_weight(tenant, weight);
-    weights[tenant] = weight;
-  }
-  for (const auto& [tenant, weight] : cfg.tenant_weights) {
-    coalescer.set_weight(tenant, weight);
-    admission.set_weight(tenant, weight);
-    weights[tenant] = weight;
-  }
-
-  ServiceReport report;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double pool_free = 0.0;    // single-server model: one merged launch at a time
-  double last_event = 0.0;   // queue-depth integration point
-  double depth_integral = 0.0;
-  std::size_t next = 0;
-  int batch_seq = 0;
-  const auto advance = [&](double t) {
-    depth_integral += coalescer.depth() * (t - last_event);
-    last_event = t;
-  };
-
-  while (next < trace.requests.size() || !coalescer.empty()) {
-    const double t_arrival =
-        next < trace.requests.size() ? trace.requests[next].submit_time : kInf;
-    // Earliest instant the pool could start the next merged launch: it must
-    // be free AND some group must be flushable.
-    const double t_dispatch = std::max(pool_free, coalescer.next_ready());
-    if (t_arrival <= t_dispatch) {
-      // Arrivals up to the dispatch instant join the queue first — a busy
-      // pool is exactly what deepens batches under load. Admission runs at
-      // the arrival instant against the backlog snapshot; a shed request
-      // resolves immediately with its named rejection status.
-      advance(t_arrival);
-      const Request& r = trace.requests[next];
-      const QueueSnapshot snap{coalescer.depth(), coalescer.pending_bytes(),
-                               coalescer.pending_flops(), pool_free};
-      const AdmissionDecision verdict = admission.admit(r, t_arrival, snap);
-      if (verdict != AdmissionDecision::Admit) {
-        report.outcomes.push_back(rejected_outcome(r, status_of(verdict), t_arrival));
-        ++next;
-        continue;
+/// The one dispatcher core behind both front doors. It owns the coalescer,
+/// the admission controller, the tenant weights, the batch sequence, the
+/// outcomes, the batch log, the peak depth and the queue-depth integral,
+/// and holds the single copy of every service step. Time only comes in as
+/// arguments: replay_trace passes virtual instants, Service passes
+/// steady_clock ones. Not thread-safe — Service serialises every call
+/// behind one mutex except launch(), which reads only the pool and the
+/// config and so runs outside it.
+class Core {
+ public:
+  /// `declared` are the trace's tenant declarations (none in the live
+  /// Service); cfg.tenant_weights override them.
+  Core(hetero::DevicePool& pool, const ServiceConfig& cfg,
+       const std::vector<std::pair<std::string, double>>& declared)
+      : pool_(pool),
+        cfg_(cfg),
+        coalescer_(cfg.coalesce),
+        admission_(resolve_admission(cfg.admission), executor_peaks(pool)) {
+    for (const auto* list : {&declared, &cfg.tenant_weights})
+      for (const auto& [tenant, weight] : *list) {
+        coalescer_.set_weight(tenant, weight);
+        admission_.set_weight(tenant, weight);
+        weights_[tenant] = weight;
       }
-      coalescer.add(r, t_arrival);
-      report.peak_queue_depth = std::max(report.peak_queue_depth, coalescer.depth());
-      ++next;
-      continue;
+  }
+
+  [[nodiscard]] bool idle() const noexcept { return coalescer_.empty(); }
+  [[nodiscard]] double next_ready() const noexcept { return coalescer_.next_ready(); }
+  /// Completion instant of the last launch (the single-server pool frees up).
+  [[nodiscard]] double busy_until() const noexcept { return busy_until_; }
+  /// Terminal outcomes so far, in completion order.
+  [[nodiscard]] const std::vector<RequestOutcome>& outcomes() const noexcept {
+    return report_.outcomes;
+  }
+
+  /// Arrival at instant `t`: admission runs against the core's own backlog;
+  /// an admitted request joins the coalescer, a shed one resolves at once
+  /// with its named rejection status. Returns whether it was queued.
+  bool arrive(const Request& r, double t) {
+    advance(t);
+    const QueueSnapshot snap{coalescer_.depth(), coalescer_.pending_bytes(),
+                             coalescer_.pending_flops(), busy_until_};
+    const AdmissionDecision verdict = admission_.admit(r, t, snap);
+    if (verdict != AdmissionDecision::Admit) {
+      report_.outcomes.push_back(rejected_outcome(r, status_of(verdict), t));
+      return false;
     }
-    advance(t_dispatch);
-    auto flush = coalescer.pop_ready(t_dispatch);
-    require(flush.has_value(), "replay_trace: internal scheduling error (no ready group)");
-    // Deadline shedding at dispatch: drop what queued past its SLO before
-    // spending launch time on it (the shrunken launch may rescue the rest).
-    auto filtered = admission.filter_deadlines(std::move(flush->admitted), t_dispatch);
+    coalescer_.add(r, t);
+    report_.peak_queue_depth = std::max(report_.peak_queue_depth, coalescer_.depth());
+    return true;
+  }
+
+  /// Pops the most urgent group ready at `t` (`force`: any pending group —
+  /// the drain path); nullopt when none is. Deadline shedding happens here,
+  /// before launch time is spent: what queued past its SLO resolves as
+  /// RejectedDeadline (the shrunken launch may rescue the rest), so the
+  /// returned flush is empty when every member expired.
+  [[nodiscard]] std::optional<Coalescer::Flush> take(double t, bool force) {
+    advance(t);
+    auto flush = coalescer_.pop_ready(t, force);
+    if (!flush) return flush;
+    auto filtered = admission_.filter_deadlines(std::move(flush->admitted), t);
     for (const Request& r : filtered.dropped)
-      report.outcomes.push_back(
-          rejected_outcome(r, RequestStatus::RejectedDeadline, t_dispatch));
-    if (filtered.kept.empty()) continue;
+      report_.outcomes.push_back(rejected_outcome(r, RequestStatus::RejectedDeadline, t));
     flush->admitted = std::move(filtered.kept);
-    const LaunchResult lr = run_flush(pool, *flush, cfg);
-    const double t_done = t_dispatch + lr.seconds;
-    pool_free = t_done;
-    const BatchRecord b = record_of(batch_seq++, *flush, lr, t_dispatch);
+    return flush;
+  }
+
+  /// Runs a taken flush as one merged launch (reads only the pool and the
+  /// config, never the core's queue state).
+  [[nodiscard]] LaunchResult launch(const Coalescer::Flush& flush) const {
+    return run_flush(pool_, flush, cfg_);
+  }
+
+  /// Records a launch dispatched at `t_dispatch` and finished at `t_done`.
+  /// Capacity feedback: calibrate on the observed launch; an executor the
+  /// fault layer reports permanently lost cuts the estimate and triggers
+  /// one graceful-degradation shed pass over the queued backlog
+  /// (lowest-weight tenants first), effective at the completion instant.
+  void commit(const Coalescer::Flush& flush, const LaunchResult& lr, double t_dispatch,
+              double t_done) {
+    busy_until_ = t_done;
+    const BatchRecord b = record_of(batch_seq_++, flush, lr, t_dispatch);
     for (RequestOutcome o : lr.outcomes) {
       o.dispatch_time = t_dispatch;
       o.complete_time = t_done;
       o.batch_id = b.id;
-      report.outcomes.push_back(std::move(o));
+      report_.outcomes.push_back(std::move(o));
     }
-    report.batch_log.push_back(b);
-    // Capacity feedback: calibrate on the observed launch; an executor the
-    // fault layer reports permanently lost cuts the estimate and triggers
-    // one graceful-degradation shed pass over the queued backlog
-    // (lowest-weight tenants first), effective at the completion instant.
-    admission.observe_launch(lr.flops, lr.seconds, lr.lost);
-    if (admission.take_capacity_drop()) {
-      std::vector<PendingItem> backlog;
-      for (const auto& p : coalescer.pending())
-        backlog.push_back(PendingItem{p.id, p.tenant, p.flops});
-      for (std::uint64_t id : admission.shed_plan(backlog)) {
-        const Request victim = coalescer.remove(id);
-        report.outcomes.push_back(
-            rejected_outcome(victim, RequestStatus::RejectedQueueFull, t_done));
-      }
+    report_.batch_log.push_back(b);
+    admission_.observe_launch(lr.flops, lr.seconds, lr.lost);
+    if (!admission_.take_capacity_drop()) return;
+    std::vector<PendingItem> backlog;
+    for (const auto& p : coalescer_.pending())
+      backlog.push_back(PendingItem{p.id, p.tenant, p.flops});
+    for (std::uint64_t id : admission_.shed_plan(backlog)) {
+      const Request victim = coalescer_.remove(id);
+      report_.outcomes.push_back(
+          rejected_outcome(victim, RequestStatus::RejectedQueueFull, t_done));
     }
   }
 
-  report.finalize(weights);
-  report.mean_queue_depth = report.makespan > 0.0 ? depth_integral / report.makespan : 0.0;
-  report.capacity_gflops = admission.capacity_gflops();
-  report.admission_enabled = admission.enabled();
-  return report;
+  /// The final report (call once, after the last step).
+  [[nodiscard]] ServiceReport finish() {
+    report_.finalize(weights_);
+    report_.mean_queue_depth =
+        report_.makespan > 0.0 ? depth_integral_ / report_.makespan : 0.0;
+    report_.capacity_gflops = admission_.capacity_gflops();
+    report_.admission_enabled = admission_.enabled();
+    return std::move(report_);
+  }
+
+ private:
+  /// Integrates the pending depth up to instant `t`.
+  void advance(double t) {
+    depth_integral_ += coalescer_.depth() * (t - last_event_);
+    last_event_ = t;
+  }
+
+  hetero::DevicePool& pool_;
+  const ServiceConfig& cfg_;
+  Coalescer coalescer_;
+  AdmissionController admission_;
+  std::map<std::string, double> weights_;
+  ServiceReport report_;
+  int batch_seq_ = 0;
+  double busy_until_ = 0.0;
+  double last_event_ = 0.0;
+  double depth_integral_ = 0.0;
+};
+
+}  // namespace
+
+ServiceReport replay_trace(hetero::DevicePool& pool, const Trace& trace,
+                           const ServiceConfig& cfg) {
+  Core core(pool, cfg, trace.tenants);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t next = 0;
+  while (next < trace.requests.size() || !core.idle()) {
+    const double t_arrival =
+        next < trace.requests.size() ? trace.requests[next].submit_time : kInf;
+    // Earliest instant the pool could start the next merged launch: it must
+    // be free AND some group must be flushable. Arrivals up to that instant
+    // join the queue first — a busy pool is exactly what deepens batches
+    // under load.
+    const double t_dispatch = std::max(core.busy_until(), core.next_ready());
+    if (t_arrival <= t_dispatch) {
+      core.arrive(trace.requests[next++], t_arrival);
+      continue;
+    }
+    const auto flush = core.take(t_dispatch, false);
+    require(flush.has_value(), "replay_trace: internal scheduling error (no ready group)");
+    if (flush->admitted.empty()) continue;
+    const LaunchResult lr = core.launch(*flush);
+    core.commit(*flush, lr, t_dispatch, t_dispatch + lr.seconds);
+  }
+  return core.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -332,142 +389,80 @@ bool JobTicket::done() const {
 }
 
 struct Service::Impl {
-  hetero::DevicePool* pool = nullptr;
   ServiceConfig cfg;
-  AdmissionConfig acfg;  ///< resolved (explicit > VBATCH_ADMISSION > off)
-  RequestQueue queue;    ///< bounded by acfg.max_queue (0 = unbounded)
-  Coalescer coalescer;
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+
+  std::mutex mutex;  // guards core through report
+  std::condition_variable wake;  // dispatcher: an arrival, or closing
+  Core core;
+  std::map<std::uint64_t, std::shared_ptr<detail::TicketState>> tickets;
+  std::size_t published = 0;  // outcomes already handed to their tickets
+  std::uint64_t next_id = 0;
+  bool closing = false;
+  std::optional<ServiceReport> report;
   std::thread worker;
 
-  std::mutex mutex;  // guards tickets / results / admission across threads
-  AdmissionController admission;
-  std::map<std::uint64_t, std::shared_ptr<detail::TicketState>> tickets;
-  std::vector<BatchRecord> batch_log;
-  std::vector<RequestOutcome> outcomes;
-  std::uint64_t next_id = 0;
-  int batch_seq = 0;
-  int peak_depth = 0;  // dispatcher-only
-  // Backlog snapshot the submit-side admission check reads; the dispatcher
-  // refreshes it after every coalescer mutation (guarded by `mutex`).
-  int pending_depth = 0;
-  double pending_bytes = 0.0;
-  double pending_flops = 0.0;
-  bool drained = false;
-  ServiceReport report;
-
-  explicit Impl(hetero::DevicePool& p, ServiceConfig c)
-      : pool(&p),
-        cfg(std::move(c)),
-        acfg(resolve_admission(cfg.admission)),
-        queue(acfg.max_queue),
-        coalescer(cfg.coalesce),
-        admission(acfg, executor_peaks(p)) {
-    for (const auto& [tenant, weight] : cfg.tenant_weights) {
-      coalescer.set_weight(tenant, weight);
-      admission.set_weight(tenant, weight);
-    }
-  }
+  Impl(hetero::DevicePool& pool, ServiceConfig c) : cfg(std::move(c)), core(pool, cfg, {}) {}
 
   [[nodiscard]] double now() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
 
-  /// Records a terminal outcome and signals its ticket (launch completions
-  /// and admission rejections share this path, so a shed request's
-  /// JobTicket::wait returns instead of hanging).
-  void complete(RequestOutcome o) {
-    std::shared_ptr<detail::TicketState> to_signal;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (const auto it = tickets.find(o.id); it != tickets.end()) {
-        {
-          std::lock_guard<std::mutex> tl(it->second->mutex);
-          it->second->outcome = o;
-          it->second->done = true;
-        }
-        to_signal = it->second;
+  /// Hands every new terminal outcome to its ticket (launch completions and
+  /// rejections alike, so a shed request's JobTicket::wait returns instead
+  /// of hanging). Caller holds `mutex`.
+  void publish() {
+    const std::vector<RequestOutcome>& out = core.outcomes();
+    for (; published < out.size(); ++published) {
+      detail::TicketState& st = *tickets.at(out[published].id);
+      {
+        std::lock_guard<std::mutex> tl(st.mutex);
+        st.outcome = out[published];
+        st.done = true;
       }
-      outcomes.push_back(std::move(o));
-    }
-    if (to_signal) to_signal->cv.notify_all();
-  }
-
-  void refresh_backlog() {
-    std::lock_guard<std::mutex> lock(mutex);
-    pending_depth = coalescer.depth();
-    pending_bytes = coalescer.pending_bytes();
-    pending_flops = coalescer.pending_flops();
-  }
-
-  void dispatch(Coalescer::Flush flush) {
-    const double t_dispatch = now();
-    AdmissionController::Filtered filtered;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      filtered = admission.filter_deadlines(std::move(flush.admitted), t_dispatch);
-    }
-    for (const Request& r : filtered.dropped)
-      complete(rejected_outcome(r, RequestStatus::RejectedDeadline, t_dispatch));
-    if (filtered.kept.empty()) return;
-    flush.admitted = std::move(filtered.kept);
-    const LaunchResult lr = run_flush(*pool, flush, cfg);
-    const double t_done = now();
-    const BatchRecord b = [&] {
-      std::lock_guard<std::mutex> lock(mutex);
-      batch_log.push_back(record_of(batch_seq++, flush, lr, t_dispatch));
-      admission.observe_launch(lr.flops, lr.seconds, lr.lost);
-      return batch_log.back();
-    }();
-    for (RequestOutcome o : lr.outcomes) {
-      o.dispatch_time = t_dispatch;
-      o.complete_time = t_done;
-      o.batch_id = b.id;
-      complete(std::move(o));
+      st.cv.notify_all();
     }
   }
 
-  /// One graceful-degradation shed pass after a capacity drop: victims are
-  /// removed from the coalescer (dispatcher-owned) and resolved with the
-  /// queue-full rejection status.
-  void shed_after_drop() {
-    bool dropped;
-    std::vector<PendingItem> backlog;
-    for (const auto& p : coalescer.pending())
-      backlog.push_back(PendingItem{p.id, p.tenant, p.flops});
-    std::vector<std::uint64_t> plan;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      dropped = admission.take_capacity_drop();
-      if (dropped) plan = admission.shed_plan(backlog);
-    }
-    const double t = now();
-    for (std::uint64_t id : plan) {
-      const Request victim = coalescer.remove(id);
-      complete(rejected_outcome(victim, RequestStatus::RejectedQueueFull, t));
-    }
-  }
-
+  /// The dispatcher thread: takes a flush under the lock, runs the launch
+  /// outside it (submitters never block behind a launch), commits under the
+  /// lock. Once closing, every pending group is forced out before exit.
   void loop() {
+    std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-      // Sleep until the next flush is due (bounded so close() is noticed).
-      double timeout = 0.05;
-      const double ready = coalescer.next_ready();
-      if (std::isfinite(ready)) timeout = std::min(timeout, std::max(0.0, ready - now()));
-      std::vector<Request> incoming = queue.wait_drain(timeout);
-      const bool closing = queue.closed();
-      const double t = now();
-      for (Request& r : incoming) coalescer.add(std::move(r), t);
-      peak_depth = std::max(peak_depth, coalescer.depth());
-      refresh_backlog();
-      const bool force = closing && queue.depth() == 0;
-      while (auto flush = coalescer.pop_ready(now(), force)) {
-        dispatch(std::move(*flush));
-        shed_after_drop();
-        refresh_backlog();
+      const double t_dispatch = now();
+      if (auto flush = core.take(t_dispatch, closing)) {
+        publish();
+        if (flush->admitted.empty()) continue;
+        lock.unlock();
+        const LaunchResult lr = core.launch(*flush);
+        const double t_done = now();
+        lock.lock();
+        core.commit(*flush, lr, t_dispatch, t_done);
+        publish();
+      } else if (closing) {
+        return;
+      } else {
+        // Sleep until the next flush is due, an arrival moves it earlier,
+        // or drain() closes intake.
+        const double ready = core.next_ready();
+        const auto woken = [&] { return closing || core.next_ready() != ready; };
+        if (std::isfinite(ready))
+          wake.wait_for(lock, std::chrono::duration<double>(ready - t_dispatch), woken);
+        else
+          wake.wait(lock, woken);
       }
-      if (closing && queue.depth() == 0 && coalescer.empty()) return;
     }
+  }
+
+  /// Closes intake and joins the dispatcher once it has drained the queue.
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      closing = true;
+    }
+    wake.notify_all();
+    if (worker.joinable()) worker.join();
   }
 };
 
@@ -476,39 +471,26 @@ Service::Service(hetero::DevicePool& pool, ServiceConfig cfg)
   impl_->worker = std::thread([impl = impl_.get()] { impl->loop(); });
 }
 
-Service::~Service() {
-  impl_->queue.close();
-  if (impl_->worker.joinable()) impl_->worker.join();
-}
+Service::~Service() { impl_->stop(); }
 
 JobTicket Service::submit(Request r) {
   auto state = std::make_shared<detail::TicketState>();
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  require(!impl_->closing, "Service: submit after drain");
+  // Stamped under the lock, so coalescer arrivals stay monotone.
   r.submit_time = impl_->now();
-  RequestStatus rejection = RequestStatus::Pending;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    require(!impl_->drained, "Service: submit after drain");
-    if (r.id == 0) r.id = ++impl_->next_id;
-    else impl_->next_id = std::max(impl_->next_id, r.id);
-    if (!impl_->tickets.emplace(r.id, state).second)
-      throw_error(Status::InvalidArgument,
-                  "Service: duplicate request id " + std::to_string(r.id));
-    // Admission at the submit instant: the backlog snapshot covers the
-    // ingress queue plus the dispatcher's coalescer state.
-    const QueueSnapshot snap{impl_->queue.depth() + impl_->pending_depth,
-                             impl_->pending_bytes, impl_->pending_flops, r.submit_time};
-    const AdmissionDecision verdict = impl_->admission.admit(r, r.submit_time, snap);
-    if (verdict != AdmissionDecision::Admit) rejection = status_of(verdict);
-  }
+  if (r.id == 0) r.id = ++impl_->next_id;
+  else impl_->next_id = std::max(impl_->next_id, r.id);
+  if (impl_->tickets.count(r.id) != 0)
+    throw_error(Status::InvalidArgument,
+                "Service: duplicate request id " + std::to_string(r.id));
+  // A malformed request throws from arrive() here, to the caller, before
+  // any ticket exists for it.
+  const bool queued = impl_->core.arrive(r, r.submit_time);
   state->id = r.id;
-  if (rejection == RequestStatus::Pending) {
-    // Bounded ingress: a full queue sheds (non-blocking) rather than
-    // stalling the submitter — the ticket resolves with QueueFull below.
-    if (impl_->queue.try_submit(r) == Status::QueueFull)
-      rejection = RequestStatus::RejectedQueueFull;
-  }
-  if (rejection != RequestStatus::Pending)
-    impl_->complete(rejected_outcome(r, rejection, r.submit_time));
+  impl_->tickets.emplace(r.id, state);
+  if (queued) impl_->wake.notify_one();
+  else impl_->publish();
   return JobTicket(state);
 }
 
@@ -521,23 +503,10 @@ RequestOutcome Service::wait(const JobTicket& ticket) const {
 }
 
 ServiceReport Service::drain() {
-  impl_->queue.close();
-  if (impl_->worker.joinable()) impl_->worker.join();
+  impl_->stop();
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (!impl_->drained) {
-    ServiceReport report;
-    report.batch_log = impl_->batch_log;
-    report.outcomes = impl_->outcomes;
-    std::map<std::string, double> weights(impl_->cfg.tenant_weights.begin(),
-                                          impl_->cfg.tenant_weights.end());
-    report.finalize(weights);
-    report.peak_queue_depth = impl_->peak_depth;
-    report.capacity_gflops = impl_->admission.capacity_gflops();
-    report.admission_enabled = impl_->admission.enabled();
-    impl_->report = std::move(report);
-    impl_->drained = true;
-  }
-  return impl_->report;
+  if (!impl_->report) impl_->report = impl_->core.finish();
+  return *impl_->report;
 }
 
 }  // namespace vbatch::service

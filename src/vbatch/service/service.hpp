@@ -1,29 +1,35 @@
 // vbatch::service — the long-running batch service front-end
 // (docs/service.md).
 //
-// Two front doors over the same engine:
+// One dispatcher core, driven by two clocks. The core (private to
+// service.cpp) owns the coalescer, admission, tenant weights, outcomes and
+// batch log, and holds the single copy of every step: arrival-time
+// admission, deadline filtering at dispatch, the merged launch, capacity
+// feedback and shedding, and the final report. It never reads a clock;
+// the two front doors hand it their instants:
 //
 //   * replay_trace: the scripted virtual-time mode. Arrivals come from a
-//     Trace, the clock is the deterministic service clock (a single-server
-//     queueing model over the pool's modelled makespans), and the returned
-//     ServiceReport — makespan, queue depths, per-tenant p50/p99, every
-//     per-request factor — is bit-for-bit reproducible for a given
+//     Trace and each launch completes at its dispatch instant plus the
+//     pool's modelled makespan (a single-server queueing model), so the
+//     returned ServiceReport — makespan, queue depths, per-tenant p50/p99,
+//     every per-request factor — is bit-for-bit reproducible for a given
 //     (trace, config, pool). This is the mode the determinism sweeps,
 //     benches and CI gates run.
 //
 //   * Service: the wall-clock mode. Real threads submit() requests and
-//     block on JobTickets while a dispatcher thread coalesces and launches
-//     merged batches on the pool. Same coalescer, same fairness, same
-//     demux — but timestamps are wall seconds, so only the numerics (not
-//     the timings) are reproducible.
+//     block on JobTickets while a dispatcher thread launches merged batches
+//     on the pool; steady_clock supplies the instants. One mutex guards the
+//     core, and launches run outside it. Timestamps are wall seconds, so
+//     only the numerics and the clock-independent report fields (not the
+//     timings) are reproducible.
 //
-// The engine itself: pop a Coalescer flush, concatenate the admitted
-// requests into one variable-size Batch (payloads seeded per request, so a
-// request's bits never depend on its launch-mates), run the heterogeneous
-// potrf (plus the vbatched triangular solve for posv requests), then demux
-// per-request info slices, energy shares and payload bytes back to the
-// requests. Faults poison only the requests whose matrices were lost —
-// everything else in the merged launch completes normally.
+// The launch itself: concatenate the admitted requests of a flush into one
+// variable-size Batch (payloads seeded per request, so a request's bits
+// never depend on its launch-mates), run the heterogeneous potrf (plus the
+// vbatched triangular solve for posv requests), then demux per-request
+// info slices, energy shares and payload bytes back to the requests.
+// Faults poison only the requests whose matrices were lost — everything
+// else in the merged launch completes normally.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +94,8 @@ class JobTicket {
   std::shared_ptr<detail::TicketState> state_;
 };
 
-/// The live, wall-clock service: a dispatcher thread owns the pool and the
-/// coalescer; any number of client threads submit() and wait(). Lifecycle:
+/// The live, wall-clock service: a dispatcher thread owns the pool; any
+/// number of client threads submit() and wait(). Lifecycle:
 /// construct → submit/wait from anywhere → drain() once (flushes what is
 /// pending, stops the dispatcher, returns the report).
 class Service {
@@ -100,8 +106,10 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Thread-safe. Stamps the request's submit_time with the service wall
-  /// clock; id 0 auto-assigns the next free id. Duplicate ids and
-  /// submissions after drain() raise Status::InvalidArgument.
+  /// clock, runs admission and queues the request for coalescing (a shed
+  /// request's ticket resolves at once with its rejection status); id 0
+  /// auto-assigns the next free id. Duplicate ids and submissions after
+  /// drain() raise Status::InvalidArgument.
   [[nodiscard]] JobTicket submit(Request r);
 
   /// Blocks until the ticket's request completes; returns its outcome.

@@ -73,14 +73,6 @@ double Rng::gaussian(double mean, double stddev) noexcept {
   return mean + stddev * gaussian();
 }
 
-void fill_uniform(Rng& rng, std::vector<double>& v, double lo, double hi) {
-  for (auto& x : v) x = rng.uniform(lo, hi);
-}
-
-void fill_uniform(Rng& rng, std::vector<float>& v, float lo, float hi) {
-  for (auto& x : v) x = static_cast<float>(rng.uniform(lo, hi));
-}
-
 template <typename T>
 void fill_spd(Rng& rng, T* a, std::int64_t n, std::int64_t ld) {
   using R = real_t<T>;

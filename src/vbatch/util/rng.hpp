@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace vbatch {
 
@@ -41,10 +40,6 @@ class Rng {
   bool have_spare_ = false;
   double spare_ = 0.0;
 };
-
-/// Fills `v` with uniform values in [lo, hi).
-void fill_uniform(Rng& rng, std::vector<double>& v, double lo, double hi);
-void fill_uniform(Rng& rng, std::vector<float>& v, float lo, float hi);
 
 /// Fills a column-major n×n buffer (leading dimension ld) with a random
 /// symmetric positive definite matrix: A = 0.5(B+Bᵀ) + n·I with B uniform

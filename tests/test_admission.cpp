@@ -1,15 +1,14 @@
 // Overload-protection tests (docs/service.md, "Overload & admission"):
 // VBATCH_ADMISSION spec parsing, token-bucket rate limiting, queue
 // watermarks, deadline feasibility (arrival + dispatch fixed point),
-// capacity feedback after executor loss, the bounded RequestQueue, ticket
-// resolution for shed wall-clock requests, and the overload replay
-// determinism sweep (burst + executor death, bit-identical shed sets and
-// surviving factors).
+// capacity feedback after executor loss, the live service's depth bound and
+// intake close, ticket resolution for shed wall-clock requests, and the
+// overload replay determinism sweep (burst + executor death, bit-identical
+// shed sets and surviving factors).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "vbatch/service/admission.hpp"
-#include "vbatch/service/request_queue.hpp"
 #include "vbatch/service/service.hpp"
 #include "vbatch/service/trace.hpp"
 #include "vbatch/util/error.hpp"
@@ -329,64 +327,88 @@ TEST(ServiceAdmissionCapacity, ShedPlanEmptyWhenBacklogFits) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded RequestQueue (satellite: the memory-safety half)
+// Live service depth bound and intake close
 // ---------------------------------------------------------------------------
 
 TEST(ServiceQueueBound, TrySubmitReturnsQueueFullWithoutEnqueueing) {
-  RequestQueue q(2);
-  EXPECT_EQ(q.capacity(), 2);
-  EXPECT_EQ(q.try_submit(make_request(1, "a", {16})), Status::Ok);
-  EXPECT_EQ(q.try_submit(make_request(2, "a", {16})), Status::Ok);
-  EXPECT_EQ(q.try_submit(make_request(3, "a", {16})), Status::QueueFull);
-  EXPECT_EQ(q.depth(), 2);  // the shed request was not enqueued
-  const auto drained = q.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].id, 1u);
-  EXPECT_EQ(drained[1].id, 2u);
-  EXPECT_EQ(q.try_submit(make_request(3, "a", {16})), Status::Ok);  // space again
-}
-
-TEST(ServiceQueueBound, BlockingSubmitWaitsForSpace) {
-  RequestQueue q(1);
-  q.submit(make_request(1, "a", {16}));
-  std::thread blocked([&q] { q.submit(make_request(2, "a", {16})); });
-  // Let the submitter reach the wait, then free a slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.depth(), 1);
-  const auto first = q.drain();
-  blocked.join();
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].id, 1u);
-  const auto second = q.drain();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].id, 2u);
+  // max_queue=2 on a stalled dispatcher: the third submit resolves at once
+  // with RejectedQueueFull and never enters the core, so the depth stays at
+  // the watermark and the drained launch holds only the first two.
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;  // dispatcher never flushes on its own
+  cfg.admission.enabled = true;
+  cfg.admission.max_queue = 2;
+  Service svc(pool, cfg);
+  const JobTicket first = svc.submit(make_request(1, "a", {16}));
+  const JobTicket second = svc.submit(make_request(2, "a", {16}));
+  const JobTicket third = svc.submit(make_request(3, "a", {16}));
+  EXPECT_TRUE(third.done());  // resolved at submit, before any dispatch
+  EXPECT_FALSE(first.done());
+  const RequestOutcome shed = svc.wait(third);
+  EXPECT_EQ(shed.status, RequestStatus::RejectedQueueFull);
+  EXPECT_EQ(shed.complete_time, shed.submit_time);
+  const ServiceReport report = svc.drain();
+  EXPECT_EQ(report.peak_queue_depth, 2);
+  ASSERT_EQ(report.batch_log.size(), 1u);
+  EXPECT_EQ(report.batch_log[0].requests, 2);
+  EXPECT_EQ(svc.wait(first).status, RequestStatus::Ok);
+  EXPECT_EQ(svc.wait(second).status, RequestStatus::Ok);
 }
 
 TEST(ServiceQueueBound, CloseWakesBlockedSubmitterWithError) {
-  RequestQueue q(1);
-  q.submit(make_request(1, "a", {16}));
-  std::atomic<bool> threw{false};
-  std::thread blocked([&q, &threw] {
-    try {
-      q.submit(make_request(2, "a", {16}));
-    } catch (const Error& e) {
-      threw = e.status() == Status::InvalidArgument;
+  // drain() racing a submitting thread: every submit either returns a
+  // ticket that resolves Ok (queued work is flushed, never dropped) or, once
+  // intake is closed, throws InvalidArgument. The submitter stops at that
+  // error, so nothing hangs and nothing is lost.
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;
+  cfg.coalesce.max_batch = 16;  // the dispatcher launches while submits continue
+  Service svc(pool, cfg);
+  std::vector<JobTicket> accepted;
+  std::atomic<int> submitted{0};
+  std::atomic<bool> closed_with_error{false};
+  std::thread submitter([&] {
+    for (;;) {
+      try {
+        accepted.push_back(svc.submit(make_request(0, "a", {8})));
+      } catch (const Error& e) {
+        closed_with_error = e.status() == Status::InvalidArgument;
+        return;
+      }
+      ++submitted;
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  blocked.join();
-  EXPECT_TRUE(threw.load());
-  EXPECT_THROW((void)q.try_submit(make_request(3, "a", {16})), Error);
-  EXPECT_EQ(q.drain().size(), 1u);  // queued work stays drainable
+  while (submitted.load() < 50) std::this_thread::yield();
+  const ServiceReport report = svc.drain();
+  submitter.join();
+  EXPECT_TRUE(closed_with_error.load());
+  EXPECT_EQ(report.requests, static_cast<int>(accepted.size()));
+  EXPECT_EQ(report.accepted, report.requests);
+  for (const JobTicket& t : accepted) {
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(svc.wait(t).status, RequestStatus::Ok);
+  }
 }
 
 TEST(ServiceQueueBound, UnboundedByDefault) {
-  RequestQueue q;
+  // With admission off (the default) no depth bound applies: 64 submits on
+  // a stalled dispatcher all queue, and drain() serves every one.
+  EXPECT_EQ(AdmissionConfig{}.max_queue, 0);
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;
+  Service svc(pool, cfg);
+  std::vector<JobTicket> tickets;
   for (std::uint64_t i = 1; i <= 64; ++i)
-    EXPECT_EQ(q.try_submit(make_request(i, "a", {8})), Status::Ok);
-  EXPECT_EQ(q.depth(), 64);
-  EXPECT_THROW(RequestQueue(-1), Error);
+    tickets.push_back(svc.submit(make_request(i, "a", {8})));
+  const ServiceReport report = svc.drain();
+  EXPECT_FALSE(report.admission_enabled);
+  EXPECT_EQ(report.peak_queue_depth, 64);
+  EXPECT_EQ(report.accepted, 64);
+  EXPECT_EQ(report.shed, 0);
+  for (const JobTicket& t : tickets) EXPECT_EQ(svc.wait(t).status, RequestStatus::Ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,10 +449,10 @@ TEST(ServiceLiveAdmission, BoundedIngressShedsWhenDispatcherStalls) {
   Service svc(pool, cfg);
   std::vector<JobTicket> tickets;
   for (int i = 0; i < 8; ++i) tickets.push_back(svc.submit(make_request(0, "a", {16})));
-  // Depth counts ingress + coalescer, so the split between the two (a race
-  // with the dispatcher) cannot change the verdict: exactly the first two
-  // submits fit under the depth-2 watermark. drain() resolves the accepted
-  // tickets; the shed ones resolved at submit time.
+  // Admission reads the dispatcher core's own depth under the submit lock,
+  // so exactly the first two submits fit under the depth-2 watermark.
+  // drain() resolves the accepted tickets; the shed ones resolved at
+  // submit time.
   const ServiceReport report = svc.drain();
   int ok = 0;
   int shed = 0;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -14,7 +15,6 @@
 
 #include "vbatch/service/coalescer.hpp"
 #include "vbatch/service/fairness.hpp"
-#include "vbatch/service/request_queue.hpp"
 #include "vbatch/service/service.hpp"
 #include "vbatch/service/trace.hpp"
 #include "vbatch/util/error.hpp"
@@ -298,33 +298,59 @@ TEST(ServiceCoalescer, EmptyRequestRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestQueue
+// Service intake: submit() hands requests straight to the dispatcher core
 // ---------------------------------------------------------------------------
 
 TEST(ServiceRequestQueue, PushDrainClose) {
-  RequestQueue q;
-  q.push(make_request(1, "a", {8}));
-  q.push(make_request(2, "a", {8}));
-  EXPECT_EQ(q.depth(), 2);
-  const auto got = q.drain();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].id, 1u);
-  EXPECT_TRUE(q.drain().empty());
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_THROW(q.push(make_request(3, "a", {8})), Error);
+  // Two submits pend in one group until drain() flushes them together; the
+  // outcomes come back in submit order, and the closed service refuses
+  // further submits with InvalidArgument.
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;  // never expires on its own
+  Service svc(pool, cfg);
+  const JobTicket first = svc.submit(make_request(1, "a", {8}));
+  const JobTicket second = svc.submit(make_request(2, "a", {8}));
+  const ServiceReport report = svc.drain();
+  EXPECT_EQ(report.peak_queue_depth, 2);
+  ASSERT_EQ(report.batch_log.size(), 1u);
+  EXPECT_EQ(report.batch_log[0].requests, 2);
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(report.outcomes[0].id, 1u);
+  EXPECT_EQ(report.outcomes[1].id, 2u);
+  EXPECT_EQ(svc.wait(first).status, RequestStatus::Ok);
+  EXPECT_EQ(svc.wait(second).status, RequestStatus::Ok);
+  try {
+    (void)svc.submit(make_request(3, "a", {8}));
+    FAIL() << "submit after drain() must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::InvalidArgument);
+  }
 }
 
 TEST(ServiceRequestQueue, WaitDrainWakesOnPush) {
-  RequestQueue q;
-  std::thread producer([&q] {
+  // The idle dispatcher sleeps on the core's condvar. A submit from another
+  // thread that fills a group to its count cap must wake it at once, not at
+  // the latency budget, which never expires within the test.
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;
+  cfg.coalesce.max_batch = 1;
+  Service svc(pool, cfg);
+  JobTicket ticket;
+  std::thread producer([&svc, &ticket] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(make_request(7, "a", {8}));
+    ticket = svc.submit(make_request(7, "a", {8}));
   });
-  const auto got = q.wait_drain(5.0);  // must wake well before 5 s
   producer.join();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].id, 7u);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RequestOutcome o = svc.wait(ticket);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(o.status, RequestStatus::Ok);
+  EXPECT_EQ(o.id, 7u);
+  EXPECT_LT(waited, 30.0);  // woken by the submit, well before the budget
+  EXPECT_EQ(svc.drain().batches, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -696,6 +722,95 @@ TEST(ServiceLive, DrainFlushesPendingAndRejectsLateSubmits) {
   EXPECT_THROW((void)svc.submit(make_request(0, "a", {16})), Error);
   const ServiceReport again = svc.drain();  // idempotent
   EXPECT_EQ(again.requests, 1);
+}
+
+TEST(ServiceLive, MalformedRequestThrowsAtSubmit) {
+  // Validation runs on the submitting thread, so a request with no matrices
+  // raises to its caller instead of escaping the dispatcher thread, and the
+  // service keeps serving.
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  Service svc(pool, ServiceConfig{});
+  EXPECT_THROW((void)svc.submit(make_request(5, "a", {})), Error);
+  const JobTicket ok = svc.submit(make_request(5, "a", {16}));
+  EXPECT_EQ(svc.wait(ok).status, RequestStatus::Ok);
+  EXPECT_EQ(svc.drain().requests, 1);
+}
+
+TEST(ServiceLive, DrainedReportMatchesReplayOfSameRequests) {
+  // One dispatcher core drives both front doors, so a live Service whose
+  // dispatcher stalls (the budget never expires before drain) must report
+  // every clock-independent field exactly as replay_trace does for the same
+  // requests arriving at t=0 — and both must integrate the queue depth.
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;
+  cfg.mode = sim::ExecMode::Full;
+  cfg.keep_payloads = true;
+  cfg.hetero.potrf.path = PotrfPath::Separated;
+  cfg.hetero.potrf.separated_nb = 16;
+  cfg.tenant_weights = {{"gold", 3.0}, {"silver", 2.0}, {"bronze", 1.0}};
+
+  // Request 1 is a potrf, so the lowest group key also holds the oldest
+  // arrival: the live drain and the replay both flush the potrf group first.
+  const std::vector<std::string> names = {"gold", "silver", "bronze"};
+  Trace trace;
+  for (std::uint64_t id = 1; id <= 12; ++id) {
+    Request r = make_request(id, names[id % names.size()],
+                             {8 + static_cast<int>(id % 5) * 6, 12},
+                             id % 4 == 3 ? Op::Posv : Op::Potrf);
+    r.nrhs = 2;
+    trace.requests.push_back(std::move(r));
+  }
+
+  hetero::DevicePool replay_pool = hetero::DevicePool::parse("cpu,k40c");
+  const ServiceReport replay = replay_trace(replay_pool, trace, cfg);
+
+  hetero::DevicePool live_pool = hetero::DevicePool::parse("cpu,k40c");
+  Service svc(live_pool, cfg);
+  for (const Request& r : trace.requests) (void)svc.submit(r);
+  const ServiceReport live = svc.drain();
+
+  EXPECT_EQ(live.requests, 12);
+  EXPECT_EQ(live.requests, replay.requests);
+  EXPECT_EQ(live.accepted, replay.accepted);
+  EXPECT_EQ(live.shed, replay.shed);
+  EXPECT_EQ(live.batches, 2);
+  EXPECT_EQ(live.batches, replay.batches);
+  EXPECT_EQ(live.peak_queue_depth, 12);
+  EXPECT_EQ(live.peak_queue_depth, replay.peak_queue_depth);
+  EXPECT_GT(live.mean_queue_depth, 0.0);
+  EXPECT_GT(replay.mean_queue_depth, 0.0);
+
+  ASSERT_EQ(live.batch_log.size(), replay.batch_log.size());
+  for (std::size_t i = 0; i < live.batch_log.size(); ++i) {
+    EXPECT_TRUE(live.batch_log[i].key == replay.batch_log[i].key) << "batch " << i;
+    EXPECT_EQ(live.batch_log[i].requests, replay.batch_log[i].requests) << "batch " << i;
+    EXPECT_EQ(live.batch_log[i].matrices, replay.batch_log[i].matrices) << "batch " << i;
+  }
+
+  ASSERT_EQ(live.tenants.size(), 3u);
+  ASSERT_EQ(live.tenants.size(), replay.tenants.size());
+  for (std::size_t i = 0; i < live.tenants.size(); ++i) {
+    EXPECT_EQ(live.tenants[i].tenant, replay.tenants[i].tenant);
+    EXPECT_EQ(live.tenants[i].weight, replay.tenants[i].weight);
+    EXPECT_EQ(live.tenants[i].requests, replay.tenants[i].requests);
+    EXPECT_EQ(live.tenants[i].accepted, replay.tenants[i].accepted);
+    EXPECT_EQ(live.tenants[i].shed, replay.tenants[i].shed);
+  }
+
+  ASSERT_EQ(live.outcomes.size(), replay.outcomes.size());
+  for (std::size_t i = 0; i < live.outcomes.size(); ++i) {
+    const RequestOutcome& a = live.outcomes[i];
+    const RequestOutcome& b = replay.outcomes[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.status, RequestStatus::Ok) << "request " << a.id;
+    EXPECT_EQ(a.status, b.status) << "request " << a.id;
+    EXPECT_EQ(a.batch_id, b.batch_id) << "request " << a.id;
+    EXPECT_EQ(a.merged_with, b.merged_with) << "request " << a.id;
+    EXPECT_EQ(a.info, b.info) << "request " << a.id;
+    ASSERT_FALSE(a.factors.empty()) << "request " << a.id;
+    EXPECT_EQ(a.factors, b.factors) << "request " << a.id;
+    EXPECT_EQ(a.solutions, b.solutions) << "request " << a.id;
+  }
 }
 
 TEST(ServiceLive, DuplicateExplicitIdRejected) {

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
 #include "vbatch/core/autotune.hpp"
@@ -26,6 +28,16 @@ namespace {
 
 using namespace vbatch;
 using namespace vbatch::blas::micro;
+
+/// A scratch file path private to the running test. gtest_discover_tests
+/// runs every test as its own process, so under `ctest -j` a shared fixed
+/// name lets parallel tests overwrite and delete each other's file; the
+/// test name plus the pid keeps each path unique.
+std::string unique_temp_path(const std::string& stem) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->test_suite_name() + "_" + info->name() +
+         "_" + std::to_string(getpid()) + ".json";
+}
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> out;
@@ -315,7 +327,7 @@ TEST(TuningDeterminismTest, ScalarTileShapeNeverChangesBits) {
 
 class TuningPersistTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "vbatch_tuning_test.json";
+  std::string path_ = unique_temp_path("vbatch_tuning_test");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
@@ -395,7 +407,7 @@ TEST(TuningAutotuneTest, CacheInfoIsSane) {
 }
 
 TEST(TuningAutotuneTest, SweepInstallsAValidProfileAndSecondRunLoadsIt) {
-  const std::string path = ::testing::TempDir() + "vbatch_autotune_test.json";
+  const std::string path = unique_temp_path("vbatch_autotune_test");
   std::remove(path.c_str());
   const TuningProfile before = active_profile();
 
