@@ -46,14 +46,14 @@ double run_steps(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob,
 
 template <typename T>
 double potrf_fused_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
-                       EtmMode etm, bool sorting, int nb, int sort_window) {
+                       const PotrfPlan& plan) {
   require(max_n >= 1, "potrf_fused: max_n must be positive");
-  if (nb <= 0) nb = kernels::choose_fused_nb(q.spec(), max_n, sizeof(T));
+  const int nb = plan.nb;
   require(max_n <= kernels::fused_max_size(q.spec(), nb, sizeof(T)),
           "potrf_fused: batch exceeds the fused kernel's shared-memory bound");
 
-  if (!sorting) {
-    return run_steps<T>(q, uplo, prob, {}, max_n, etm, nb);
+  if (!plan.sorting) {
+    return run_steps<T>(q, uplo, prob, {}, max_n, plan.etm, nb);
   }
 
   // Implicit sorting (§III-D2): at every factorization step, a window of
@@ -71,7 +71,7 @@ double potrf_fused_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int 
   args.batch = {prob.ptrs, prob.n, prob.lda};
   args.uplo = uplo;
   args.nb = nb;
-  args.etm = etm;
+  args.etm = plan.etm;
   args.info = prob.info;
 
   for (int step = 0; step * nb < max_n; ++step) {
@@ -96,7 +96,7 @@ double potrf_fused_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int 
     }
 
     // Ready-queue windows, at most 4 per step, built in one aux sweep.
-    int width = sort_window > 0 ? sort_window : nb;
+    int width = plan.sort_window > 0 ? plan.sort_window : nb;
     const int min_width = ((live_max / 4 + nb - 1) / nb) * nb;
     width = std::max(width, std::max(nb, min_width));
     seconds += kernels::build_size_partition(q.device(), prob.n, j, live_max, width, windows);
@@ -115,12 +115,12 @@ double potrf_fused_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int 
 }
 
 template double potrf_fused_run<float>(Queue&, Uplo, const VbatchedProblem<float>&, int,
-                                       EtmMode, bool, int, int);
+                                       const PotrfPlan&);
 template double potrf_fused_run<double>(Queue&, Uplo, const VbatchedProblem<double>&, int,
-                                        EtmMode, bool, int, int);
+                                        const PotrfPlan&);
 template double potrf_fused_run<std::complex<float>>(
-    Queue&, Uplo, const VbatchedProblem<std::complex<float>>&, int, EtmMode, bool, int, int);
+    Queue&, Uplo, const VbatchedProblem<std::complex<float>>&, int, const PotrfPlan&);
 template double potrf_fused_run<std::complex<double>>(
-    Queue&, Uplo, const VbatchedProblem<std::complex<double>>&, int, EtmMode, bool, int, int);
+    Queue&, Uplo, const VbatchedProblem<std::complex<double>>&, int, const PotrfPlan&);
 
 }  // namespace vbatch::detail

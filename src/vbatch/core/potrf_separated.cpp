@@ -19,17 +19,11 @@
 
 namespace vbatch::detail {
 
-/// Panel blocking for the separated path: the largest square panel the
-/// potf2 kernel can stage, rounded to the trtri block quantum.
-int default_separated_nb(std::size_t elem_size) noexcept {
-  return elem_size == sizeof(double) ? 64 : 96;
-}
-
 template <typename T>
 double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
-                           int NB, bool streamed_syrk, int num_streams) {
+                           const PotrfPlan& plan) {
   require(max_n >= 1, "potrf_separated: max_n must be positive");
-  if (NB <= 0) NB = default_separated_nb(sizeof(T));
+  const int NB = plan.nb;
   const int batch = prob.count();
   sim::Device& dev = q.device();
   double seconds = 0.0;
@@ -110,8 +104,8 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     syrk.lda = prob.lda;
     syrk.c = trail_ptrs.data();
     syrk.ldc = prob.lda;
-    if (streamed_syrk) {
-      seconds += kernels::launch_syrk_streamed(dev, syrk, num_streams);
+    if (plan.streamed_syrk) {
+      seconds += kernels::launch_syrk_streamed(dev, syrk, plan.num_streams);
     } else {
       seconds += kernels::launch_syrk_vbatched(dev, syrk);
     }
@@ -122,12 +116,12 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
 }
 
 template double potrf_separated_run<float>(Queue&, Uplo, const VbatchedProblem<float>&, int,
-                                           int, bool, int);
+                                           const PotrfPlan&);
 template double potrf_separated_run<double>(Queue&, Uplo, const VbatchedProblem<double>&, int,
-                                            int, bool, int);
+                                            const PotrfPlan&);
 template double potrf_separated_run<std::complex<float>>(
-    Queue&, Uplo, const VbatchedProblem<std::complex<float>>&, int, int, bool, int);
+    Queue&, Uplo, const VbatchedProblem<std::complex<float>>&, int, const PotrfPlan&);
 template double potrf_separated_run<std::complex<double>>(
-    Queue&, Uplo, const VbatchedProblem<std::complex<double>>&, int, int, bool, int);
+    Queue&, Uplo, const VbatchedProblem<std::complex<double>>&, int, const PotrfPlan&);
 
 }  // namespace vbatch::detail

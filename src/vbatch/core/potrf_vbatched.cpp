@@ -1,71 +1,74 @@
 // Public vbatched Cholesky entry points (paper §III-A interfaces).
 #include "vbatch/core/potrf_vbatched.hpp"
 
-#include <array>
+#include <string>
 
 #include "vbatch/core/arg_check.hpp"
 #include "vbatch/core/crossover.hpp"
+#include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
 
 namespace vbatch {
 
+namespace detail {
+
+int potrf_sweep(sim::Device& dev, std::span<const int> n, std::span<const int> lda,
+                std::span<int> info, bool reduce_max, int max_n, const char* who) {
+  const auto check = [who](bool ok, const char* what) {
+    if (!ok) throw_error(Status::InvalidArgument, std::string(who) + ": " + what);
+  };
+  check(!n.empty(), "empty batch");
+  check(lda.size() == n.size() && info.size() == n.size(), "metadata array size mismatch");
+  // LAPACK-style dimension rules for potrf(uplo, n, A, lda, info):
+  // n >= 0 (argument 2), lda >= max(1, n) (argument 4).
+  const ArgRule rules[] = {
+      {ArgRule::Kind::NonNegative, n, {}, 2, "n"},
+      {ArgRule::Kind::AtLeastOther, lda, n, 4, "lda"},
+  };
+  const ArgSweep sweep =
+      check_args_reduce(dev, rules, reduce_max ? n : std::span<const int>{}, info);
+  require_args_ok(sweep.report, who);
+  if (reduce_max) max_n = sweep.max_value;
+  check(max_n >= 1, reduce_max ? "all matrices are empty" : "max_n must be positive");
+  return max_n;
+}
+
+PotrfPlan resolve_potrf_plan(const sim::DeviceSpec& ref, Precision prec, std::size_t elem_size,
+                             int max_n, const PotrfOptions& opts,
+                             std::span<const sim::DeviceSpec* const> fit_on) {
+  bool fused = opts.path == PotrfPath::Fused ||
+               (opts.path == PotrfPath::Auto && use_fused(ref, prec, max_n, opts.crossover));
+  int nb = 0;
+  if (fused) {
+    nb = opts.fused_nb > 0 ? opts.fused_nb : kernels::choose_fused_nb(ref, max_n, elem_size);
+    if (opts.path == PotrfPath::Auto)
+      for (const sim::DeviceSpec* spec : fit_on)
+        if (max_n > kernels::fused_max_size(*spec, nb, elem_size))
+          fused = false;  // fall back rather than fail on a smaller-memory device
+  }
+  // Separated default: the largest square panel the potf2 kernel can stage,
+  // rounded to the trtri block quantum.
+  if (!fused)
+    nb = opts.separated_nb > 0 ? opts.separated_nb : (elem_size == sizeof(double) ? 64 : 96);
+  return {fused, nb, opts.etm, opts.implicit_sorting, opts.sort_window, opts.streamed_syrk,
+          opts.num_streams};
+}
+
+}  // namespace detail
+
 namespace {
 
-/// LAPACK-style dimension rules for potrf(uplo, n, A, lda, info):
-/// n >= 0 (argument 2), lda >= max(1, n) (argument 4).
+/// Resolves the plan against the queue's own device and runs it.
 template <typename T>
-std::array<ArgRule, 2> potrf_rules(const VbatchedProblem<T>& prob) {
-  ArgRule rn;
-  rn.kind = ArgRule::Kind::NonNegative;
-  rn.a = prob.n;
-  rn.argument_index = 2;
-  rn.name = "n";
-  ArgRule rl;
-  rl.kind = ArgRule::Kind::AtLeastOther;
-  rl.a = prob.lda;
-  rl.b = prob.n;
-  rl.argument_index = 4;
-  rl.name = "lda";
-  return {rn, rl};
-}
-
-template <typename T>
-void require_metadata_sizes(const VbatchedProblem<T>& prob) {
-  require(prob.count() > 0, "potrf_vbatched: empty batch");
-  require(static_cast<int>(prob.lda.size()) == prob.count() &&
-              static_cast<int>(prob.info.size()) == prob.count(),
-          "potrf_vbatched: metadata array size mismatch");
-}
-
-/// Path selection and execution; the caller has already validated the
-/// metadata and reset `info`.
-template <typename T>
-PotrfResult dispatch(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
-                     const PotrfOptions& opts) {
+PotrfResult resolve_and_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
+                            const PotrfOptions& opts) {
+  const detail::PotrfPlan plan =
+      detail::resolve_potrf_plan(q.spec(), precision_v<T>, sizeof(T), max_n, opts);
   PotrfResult result;
   result.flops = flops::potrf_batch(prob.n);
-
-  const Precision prec = precision_v<T>;
-  bool fused = false;
-  switch (opts.path) {
-    case PotrfPath::Fused: fused = true; break;
-    case PotrfPath::Separated: fused = false; break;
-    case PotrfPath::Auto:
-      fused = use_fused(q.spec(), prec, max_n, opts.crossover);
-      break;
-  }
-
-  if (fused) {
-    result.path_taken = PotrfPath::Fused;
-    result.seconds = detail::potrf_fused_run<T>(q, uplo, prob, max_n, opts.etm,
-                                                opts.implicit_sorting, opts.fused_nb,
-                                                opts.sort_window);
-  } else {
-    result.path_taken = PotrfPath::Separated;
-    result.seconds = detail::potrf_separated_run<T>(q, uplo, prob, max_n, opts.separated_nb,
-                                                    opts.streamed_syrk, opts.num_streams);
-  }
+  result.path_taken = plan.path();
+  result.seconds = detail::potrf_run<T>(q, uplo, prob, max_n, plan);
   return result;
 }
 
@@ -74,13 +77,11 @@ PotrfResult dispatch(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int ma
 template <typename T>
 PotrfResult potrf_vbatched_max(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
                                const PotrfOptions& opts) {
-  require_metadata_sizes(prob);
-  // One metadata pass validates the rules and resets info (no reduction —
-  // the expert interface takes max_n from the caller, §III-A).
-  const auto rules = potrf_rules(prob);
-  const ArgSweep sweep = check_args_reduce(q.device(), rules, {}, prob.info);
-  require_args_ok(sweep.report, "potrf_vbatched");
-  return dispatch<T>(q, uplo, prob, max_n, opts);
+  // The expert interface takes max_n from the caller, so the sweep skips
+  // the reduction (§III-A) and its time is not part of the reported call.
+  max_n = detail::potrf_sweep(q.device(), prob.n, prob.lda, prob.info, /*reduce_max=*/false,
+                              max_n, "potrf_vbatched");
+  return resolve_and_run<T>(q, uplo, prob, max_n, opts);
 }
 
 template <typename T>
@@ -98,13 +99,10 @@ PotrfResult potrf_vbatched(Queue& q, Uplo uplo, Batch<T>& batch, const PotrfOpti
   // per concern. The sweep's (negligible) time is part of this call and is
   // reported with it.
   auto prob = batch.problem();
-  require_metadata_sizes(prob);
   const double t0 = q.time();
-  const auto rules = potrf_rules(prob);
-  const ArgSweep sweep = check_args_reduce(q.device(), rules, prob.n, prob.info);
-  require_args_ok(sweep.report, "potrf_vbatched");
-  require(sweep.max_value >= 1, "potrf_vbatched: all matrices are empty");
-  PotrfResult result = dispatch<T>(q, uplo, prob, sweep.max_value, opts);
+  const int max_n = detail::potrf_sweep(q.device(), prob.n, prob.lda, prob.info,
+                                        /*reduce_max=*/true, 0, "potrf_vbatched");
+  PotrfResult result = resolve_and_run<T>(q, uplo, prob, max_n, opts);
   result.seconds = q.time() - t0;
   return result;
 }

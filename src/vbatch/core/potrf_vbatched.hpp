@@ -9,7 +9,8 @@
 //
 // Both select between the fused-kernel path (§III-D) and the separated
 // vbatched-BLAS path (§III-E) through the crossover policy of §IV-E unless
-// the options pin a path.
+// the options pin a path. The heterogeneous pool entry points
+// (hetero/potrf_hetero.hpp) share the same front end, in namespace detail.
 #pragma once
 
 #include <span>
@@ -69,25 +70,61 @@ template <typename T>
 PotrfResult potrf_vbatched_max(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
                                const PotrfOptions& opts = {});
 
-// --- Internal drivers (exposed for tests and the ablation benches) ---------
+// --- Shared front end: both interfaces here and both pool entry points
+// (hetero/potrf_hetero.hpp) run one metadata sweep, resolve one plan, and
+// run that plan on one queue or on every chunk.
 
 namespace detail {
+
+/// A resolved factorization: the path and every blocking knob pinned. A
+/// matrix's factors depend only on its own data and the plan.
+struct PotrfPlan {
+  bool fused = false;
+  int nb = 0;  ///< fused blocking size or separated panel NB (never 0)
+  EtmMode etm = EtmMode::Aggressive;
+  bool sorting = true;
+  int sort_window = 0;
+  bool streamed_syrk = false;
+  int num_streams = 16;
+  [[nodiscard]] PotrfPath path() const noexcept {
+    return fused ? PotrfPath::Fused : PotrfPath::Separated;
+  }
+};
+
+/// The metadata sweep on `dev`: checks the array sizes and the potrf
+/// argument rules and resets info in one pass. The LAPACK-like form
+/// (`reduce_max`) also reduces the maximum order; the expert form takes
+/// `max_n` from the caller. Returns the maximum; `who` prefixes errors.
+int potrf_sweep(sim::Device& dev, std::span<const int> n, std::span<const int> lda,
+                std::span<int> info, bool reduce_max, int max_n, const char* who);
+
+/// Resolves `opts` for a largest order `max_n` against the reference device
+/// `ref`: the §IV-E crossover picks the path unless the options pin one,
+/// and zero blocking sizes become the defaults. An Auto fused plan falls
+/// back to the separated path when its launch does not fit every spec in
+/// `fit_on`.
+[[nodiscard]] PotrfPlan resolve_potrf_plan(const sim::DeviceSpec& ref, Precision prec,
+                                           std::size_t elem_size, int max_n,
+                                           const PotrfOptions& opts,
+                                           std::span<const sim::DeviceSpec* const> fit_on = {});
 
 /// Approach 1: fused kernels with ETMs and optional implicit sorting.
 template <typename T>
 double potrf_fused_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
-                       EtmMode etm, bool sorting, int nb, int sort_window);
+                       const PotrfPlan& plan);
 
 /// Approach 2: separated vbatched BLAS kernels (potf2 panel, trsm, syrk).
 template <typename T>
 double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
-                           int NB, bool streamed_syrk, int num_streams);
+                           const PotrfPlan& plan);
 
-/// The separated path's default panel blocking for the given element size
-/// (what potrf_separated_run picks when NB <= 0). Exposed so layers that
-/// must pin one NB across several sub-batches (vbatch::hetero) replicate
-/// the single-device choice exactly.
-[[nodiscard]] int default_separated_nb(std::size_t elem_size) noexcept;
+/// Runs a resolved plan on `q`; returns the modelled device seconds.
+template <typename T>
+double potrf_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
+                 const PotrfPlan& plan) {
+  return plan.fused ? potrf_fused_run<T>(q, uplo, prob, max_n, plan)
+                    : potrf_separated_run<T>(q, uplo, prob, max_n, plan);
+}
 
 }  // namespace detail
 

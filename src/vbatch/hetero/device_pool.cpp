@@ -12,18 +12,35 @@
 
 namespace vbatch::hetero {
 
+Executor& DevicePool::adopt(std::unique_ptr<Executor> executor) {
+  // The pool's first executor makes it runnable: the fault-injection knob is
+  // resolved here, once, unless a spec was already set explicitly.
+  if (executors_.empty() && faults_.empty()) {
+    if (const char* env = std::getenv("VBATCH_INJECT_FAULTS"); env != nullptr && *env != '\0')
+      faults_ = fault::parse_fault_spec(env);
+  }
+  executors_.push_back(std::move(executor));
+  return *executors_.back();
+}
+
 Executor& DevicePool::add_gpu(const sim::DeviceSpec& spec, const energy::PowerModel& power,
                               std::string label) {
   if (label.empty()) label = spec.name;
-  executors_.push_back(
+  return adopt(
       std::make_unique<GpuExecutor>(label + "#" + std::to_string(gpu_count()), spec, power));
-  return *executors_.back();
 }
 
 Executor& DevicePool::add_cpu(const cpu::CpuSpec& spec, const energy::PowerModel& power) {
   require(!has_cpu(), "DevicePool: at most one CPU executor per pool");
-  executors_.push_back(std::make_unique<CpuExecutor>("cpu", spec, power));
-  return *executors_.back();
+  return adopt(std::make_unique<CpuExecutor>("cpu", spec, power));
+}
+
+const sim::DeviceSpec& DevicePool::reference_spec() const {
+  require(!executors_.empty(), "DevicePool: empty pool has no reference device");
+  for (const auto& e : executors_)
+    if (e->is_gpu()) return static_cast<const GpuExecutor&>(*e).spec();
+  // A CPU-only pool: its one executor hosts the numerics on a K40c model.
+  return static_cast<const CpuExecutor&>(*executors_.front()).numerics_spec();
 }
 
 namespace {

@@ -24,6 +24,9 @@ class DevicePool {
   /// Adds a simulated GPU with its matching power preset. The executor name
   /// (`label`, defaulting to the spec name) gets a positional suffix so
   /// multi-GPU pools stay distinguishable in reports ("k40c#0", "k40c#1").
+  /// Its default staging-arena budget is the VBATCH_ARENA_GB environment
+  /// knob, read here (see GpuExecutor), else the card's global memory;
+  /// set_arena_* overrides either.
   Executor& add_gpu(const sim::DeviceSpec& spec, const energy::PowerModel& power,
                     std::string label = {});
 
@@ -47,10 +50,10 @@ class DevicePool {
   [[nodiscard]] static DevicePool parse(const std::string& csv);
 
   /// Attaches a fault-injection spec (docs/robustness.md): every
-  /// potrf_vbatched_hetero call on this pool runs under the given plan.
-  /// An empty spec (the default) disables injection; the
-  /// VBATCH_INJECT_FAULTS environment knob applies only when no spec was
-  /// set explicitly.
+  /// potrf_vbatched_hetero call on this pool runs under the given plan,
+  /// replacing the default. The default is the VBATCH_INJECT_FAULTS
+  /// environment knob, read once when the pool gets its first executor (a
+  /// pool that never gets one never reads it), else no injection.
   void set_faults(fault::FaultSpec spec) { faults_ = std::move(spec); }
   [[nodiscard]] const fault::FaultSpec& faults() const noexcept { return faults_; }
 
@@ -62,6 +65,11 @@ class DevicePool {
   [[nodiscard]] int gpu_count() const noexcept;
   [[nodiscard]] bool has_cpu() const noexcept;
 
+  /// The device Cholesky options resolve against and host-side batches
+  /// live on: the first GPU's spec, else the CPU executor's K40c numerics
+  /// spec. Throws Status::InvalidArgument on an empty pool.
+  [[nodiscard]] const sim::DeviceSpec& reference_spec() const;
+
   /// Sum of the executors' nominal peaks in Gflop/s — the capacity seed of
   /// the service admission layer (docs/service.md, "Overload & admission").
   [[nodiscard]] double peak_gflops(Precision prec) const noexcept;
@@ -72,6 +80,8 @@ class DevicePool {
   [[nodiscard]] std::string describe() const;
 
  private:
+  Executor& adopt(std::unique_ptr<Executor> executor);
+
   std::vector<std::unique_ptr<Executor>> executors_;
   fault::FaultSpec faults_;
 };

@@ -103,8 +103,8 @@ class Executor {
   void set_arena_gb(double gb);
   void set_arena_bytes(double bytes);
   [[nodiscard]] double arena_bytes() const noexcept { return arena_bytes_; }
-  /// True once a caller pinned the budget (parse suffix, --arena-gb); the
-  /// driver then leaves it alone when applying VBATCH_ARENA_GB defaults.
+  /// True once a caller pinned the budget (parse suffix, --arena-gb), as
+  /// opposed to the default it was built with.
   [[nodiscard]] bool arena_explicit() const noexcept { return arena_explicit_; }
 
   /// Exact modelled cost of the chunk here: serial seconds from a
@@ -134,8 +134,7 @@ class Executor {
                                                          double flops) const = 0;
 
  protected:
-  /// GpuExecutor seeds the default budget (spec global memory) here without
-  /// marking it explicit.
+  /// GpuExecutor seeds its default budget here without marking it explicit.
   void init_arena_bytes(double bytes) noexcept { arena_bytes_ = bytes; }
 
  private:
@@ -149,6 +148,9 @@ class Executor {
 /// A simulated GPU device (K40c, P100, ...) wrapped in a core::Queue.
 class GpuExecutor final : public Executor {
  public:
+  /// The default staging budget is the VBATCH_ARENA_GB environment knob,
+  /// read here (a malformed value throws Status::InvalidArgument), else the
+  /// card's global memory.
   GpuExecutor(std::string name, const sim::DeviceSpec& spec, const energy::PowerModel& power);
   ~GpuExecutor() override;
 
@@ -185,6 +187,8 @@ class CpuExecutor final : public Executor {
   [[nodiscard]] bool is_gpu() const noexcept override { return false; }
   [[nodiscard]] Queue& queue() noexcept override { return numerics_; }
   [[nodiscard]] const cpu::CpuSpec& spec() const noexcept { return spec_; }
+  /// The device model of the queue hosting the numerics.
+  [[nodiscard]] const sim::DeviceSpec& numerics_spec() const noexcept { return numerics_.spec(); }
   [[nodiscard]] double peak_gflops(Precision prec) const noexcept override {
     return spec_.total_peak_gflops(prec);
   }

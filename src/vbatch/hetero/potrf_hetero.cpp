@@ -1,12 +1,7 @@
 #include "vbatch/hetero/potrf_hetero.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdlib>
 
-#include "vbatch/core/arg_check.hpp"
-#include "vbatch/core/crossover.hpp"
-#include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
 
@@ -25,52 +20,11 @@ struct ChunkData {
   std::vector<int> info;  ///< chunk-local statuses, scattered back at the end
 };
 
-/// Same dimension rules as the single-device entry (potrf_vbatched.cpp).
-template <typename T>
-std::array<ArgRule, 2> potrf_rules(const VbatchedProblem<T>& prob) {
-  ArgRule rn;
-  rn.kind = ArgRule::Kind::NonNegative;
-  rn.a = prob.n;
-  rn.argument_index = 2;
-  rn.name = "n";
-  ArgRule rl;
-  rl.kind = ArgRule::Kind::AtLeastOther;
-  rl.a = prob.lda;
-  rl.b = prob.n;
-  rl.argument_index = 4;
-  rl.name = "lda";
-  return {rn, rl};
-}
-
-/// The reference device for option resolution: the first GPU executor's
-/// spec, or the CPU executor's hidden numerics device for a CPU-only pool.
-const sim::DeviceSpec& reference_spec(DevicePool& pool) {
-  for (int e = 0; e < pool.size(); ++e)
-    if (pool.executor(e).is_gpu())
-      return static_cast<GpuExecutor&>(pool.executor(e)).spec();
-  return pool.executor(0).queue().spec();
-}
-
-/// True when the pinned fused launch fits every executor the chunks might
-/// land on (work stealing may route any chunk anywhere).
-bool fused_fits_everywhere(DevicePool& pool, int nb, int max_n, std::size_t elem_size) {
-  for (int e = 0; e < pool.size(); ++e) {
-    const sim::DeviceSpec& spec = pool.executor(e).queue().spec();
-    if (max_n > kernels::fused_max_size(spec, nb, elem_size)) return false;
-  }
-  return true;
-}
-
 template <typename T>
 HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int caller_max_n,
                          bool reduce_max, const HeteroOptions& opts) {
   require(pool.size() >= 1, "potrf_vbatched_hetero: empty device pool");
   auto prob = batch.problem();
-  require(prob.count() > 0, "potrf_vbatched_hetero: empty batch");
-  require(static_cast<int>(prob.lda.size()) == prob.count() &&
-              static_cast<int>(prob.info.size()) == prob.count(),
-          "potrf_vbatched_hetero: metadata array size mismatch");
-
   const int E = pool.size();
   const sim::ExecMode mode = batch.queue().mode();
   for (int e = 0; e < E; ++e) pool.executor(e).begin_call(mode);
@@ -80,48 +34,20 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   // initial virtual clock so the schedule charges the cost faithfully.
   Queue& q0 = pool.executor(0).queue();
   const double sweep_t0 = q0.time();
-  const auto rules = potrf_rules(prob);
-  const ArgSweep sweep =
-      check_args_reduce(q0.device(), rules, reduce_max ? prob.n : std::span<const int>{},
-                        prob.info);
-  require_args_ok(sweep.report, "potrf_vbatched_hetero");
-  int max_n = caller_max_n;
-  if (reduce_max) {
-    max_n = sweep.max_value;
-    require(max_n >= 1, "potrf_vbatched_hetero: all matrices are empty");
-  } else {
-    require(max_n >= 1, "potrf_vbatched_hetero: max_n must be positive");
-  }
+  const int max_n = detail::potrf_sweep(q0.device(), prob.n, prob.lda, prob.info, reduce_max,
+                                        caller_max_n, "potrf_vbatched_hetero");
   const double sweep_seconds = q0.time() - sweep_t0;
 
-  // --- Pin the options once, from the GLOBAL maximum against the reference
-  // device. Every chunk driver receives the same path and blocking sizes;
+  // --- Pin the plan once, from the GLOBAL maximum against the reference
+  // device; an Auto fused plan must also fit every executor, since work
+  // stealing may route any chunk anywhere. Every chunk runs the same plan;
   // only its local max_n differs — which changes launch geometry (the
   // speedup) but never per-matrix math (the bit-identity guarantee).
   const Precision prec = precision_v<T>;
-  const sim::DeviceSpec& ref = reference_spec(pool);
-  bool fused = false;
-  switch (opts.potrf.path) {
-    case PotrfPath::Fused: fused = true; break;
-    case PotrfPath::Separated: fused = false; break;
-    case PotrfPath::Auto: fused = use_fused(ref, prec, max_n, opts.potrf.crossover); break;
-  }
-  int fused_nb = 0;
-  if (fused) {
-    fused_nb = opts.potrf.fused_nb > 0 ? opts.potrf.fused_nb
-                                       : kernels::choose_fused_nb(ref, max_n, sizeof(T));
-    if (opts.potrf.path == PotrfPath::Auto &&
-        !fused_fits_everywhere(pool, fused_nb, max_n, sizeof(T)))
-      fused = false;  // fall back rather than fail on a smaller-memory peer
-  }
-  const int separated_nb =
-      opts.potrf.separated_nb > 0 ? opts.potrf.separated_nb : detail::default_separated_nb(sizeof(T));
-  const int window_nb = fused ? fused_nb : separated_nb;
-  const EtmMode etm = opts.potrf.etm;
-  const bool sorting = opts.potrf.implicit_sorting;
-  const int sort_window = opts.potrf.sort_window;
-  const bool streamed_syrk = opts.potrf.streamed_syrk;
-  const int num_streams = opts.potrf.num_streams;
+  std::vector<const sim::DeviceSpec*> specs;
+  for (int e = 0; e < E; ++e) specs.push_back(&pool.executor(e).queue().spec());
+  const detail::PotrfPlan plan = detail::resolve_potrf_plan(pool.reference_spec(), prec,
+                                                            sizeof(T), max_n, opts.potrf, specs);
 
   // --- Chunk the size-sorted order and build the per-chunk work units.
   const std::vector<int> order = sort_indices_desc(prob.n);
@@ -131,7 +57,7 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   require(opts.chunks_per_executor >= 1,
           "potrf_vbatched_hetero: chunks_per_executor must be positive");
   const std::vector<Chunk> chunks =
-      build_chunks(sorted_n, window_nb, opts.chunks_per_executor * E);
+      build_chunks(sorted_n, plan.nb, opts.chunks_per_executor * E);
   const int C = static_cast<int>(chunks.size());
 
   std::vector<ChunkData<T>> data(static_cast<std::size_t>(C));
@@ -156,15 +82,10 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
     w.max_n = ck.max_n;
     w.prec = prec;
     const int chunk_max = ck.max_n;
-    w.run = [&d, uplo, chunk_max, fused, fused_nb, separated_nb, etm, sorting, sort_window,
-             streamed_syrk, num_streams](Queue& q, std::span<int> info) -> double {
+    w.run = [&d, uplo, chunk_max, plan](Queue& q, std::span<int> info) -> double {
       if (chunk_max < 1) return 0.0;  // an all-empty tail chunk has no work
       VbatchedProblem<T> cp{d.ptrs.data(), d.n, d.lda, info};
-      if (fused)
-        return detail::potrf_fused_run<T>(q, uplo, cp, chunk_max, etm, sorting, fused_nb,
-                                          sort_window);
-      return detail::potrf_separated_run<T>(q, uplo, cp, chunk_max, separated_nb,
-                                            streamed_syrk, num_streams);
+      return detail::potrf_run<T>(q, uplo, cp, chunk_max, plan);
     };
   }
 
@@ -190,9 +111,8 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   // streaming"). A chunk's staged footprint is the sum of its matrices'
   // stored columns — lda × n elements each way. A GPU executor streams when
   // forced (Staging::Streamed) or when the whole batch cannot be resident
-  // inside its arena budget (Staging::Auto); the budget itself is the
-  // parse/CLI-pinned value, else the VBATCH_ARENA_GB environment default,
-  // else the device's global memory.
+  // inside its arena budget (Staging::Auto); the executor's budget was
+  // resolved when the pool was built (docs/heterogeneous.md).
   std::vector<double> chunk_bytes(static_cast<std::size_t>(C), 0.0);
   double footprint = 0.0;
   for (int c = 0; c < C; ++c) {
@@ -204,14 +124,6 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
     chunk_bytes[static_cast<std::size_t>(c)] = bytes;
     footprint += bytes;
   }
-  double env_arena_bytes = 0.0;
-  if (const char* env = std::getenv("VBATCH_ARENA_GB"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const double gb = std::strtod(env, &end);
-    require(end != env && *end == '\0' && gb > 0.0,
-            "potrf_vbatched_hetero: VBATCH_ARENA_GB must be a positive number");
-    env_arena_bytes = gb * 1024.0 * 1024.0 * 1024.0;
-  }
   std::vector<double> arena(static_cast<std::size_t>(E), 0.0);
   std::vector<char> streamed(static_cast<std::size_t>(E), 0);
   std::vector<std::vector<double>> h2d(static_cast<std::size_t>(E));
@@ -219,8 +131,7 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   for (int e = 0; e < E; ++e) {
     Executor& ex = pool.executor(e);
     if (!ex.is_gpu()) continue;  // the CPU works in host memory: no staging
-    double budget = ex.arena_bytes();
-    if (!ex.arena_explicit() && env_arena_bytes > 0.0) budget = env_arena_bytes;
+    const double budget = ex.arena_bytes();
     arena[static_cast<std::size_t>(e)] = budget;
     const bool wants = opts.staging == HeteroOptions::Staging::Streamed ||
                        (opts.staging == HeteroOptions::Staging::Auto && footprint > budget);
@@ -266,16 +177,10 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   sp.initial_clock.assign(static_cast<std::size_t>(E), 0.0);
   sp.initial_clock[0] = sweep_seconds;
 
-  // Fault injection: an explicit pool spec wins; the environment knob
-  // applies only when no spec was set, so every layer (library, CLI, ops)
-  // can exercise the recovery path without touching the one above it.
-  fault::FaultSpec fault_spec = pool.faults();
-  if (fault_spec.empty()) {
-    if (const char* env = std::getenv("VBATCH_INJECT_FAULTS"); env != nullptr && *env != '\0')
-      fault_spec = fault::parse_fault_spec(env);
-  }
-  const fault::FaultPlan plan(std::move(fault_spec));
-  sp.faults = plan.empty() ? nullptr : &plan;
+  // Fault injection: the pool's spec (explicit, else the environment knob
+  // resolved when the pool got its first executor).
+  const fault::FaultPlan faults(pool.faults());
+  sp.faults = faults.empty() ? nullptr : &faults;
   sp.retry = opts.retry;
 
   const ScheduleResult sched = run_schedule(
@@ -317,7 +222,7 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   HeteroResult result;
   result.seconds = sched.makespan;
   result.flops = flops::potrf_batch(prob.n);
-  result.path_taken = fused ? PotrfPath::Fused : PotrfPath::Separated;
+  result.path_taken = plan.path();
   result.chunks = C;
   result.retries = sched.retries_total;
   result.hangs = sched.hangs;

@@ -8,12 +8,14 @@
 // deterministic work-stealing scheduler over the pool's virtual clocks
 // (see partition.hpp / scheduler.hpp).
 //
-// Numerics guarantee: the options (path, blocking sizes) are resolved ONCE
-// from the global maximum against a reference device and pinned for every
-// chunk, and each matrix's factorization depends only on its own data and
-// those pinned options — so the factors and info array are bit-identical
-// to the single-device path and invariant under every partition policy,
-// steal schedule, and pool composition. Only the modelled time and energy
+// Numerics guarantee: the entry points share the single-device front end
+// (potrf_vbatched.hpp, namespace detail). The metadata sweep runs once, and
+// the options resolve ONCE into one plan (path, blocking sizes) from the
+// global maximum against DevicePool::reference_spec(); every chunk runs
+// that plan. Each matrix's factorization depends only on its own data and
+// the plan, so the factors and info array are bit-identical to the
+// single-device path and invariant under every partition policy, steal
+// schedule, and pool composition. Only the modelled time and energy
 // change; that is the point.
 //
 // Both §III-A interfaces are provided: potrf_vbatched_hetero computes the
@@ -21,10 +23,11 @@
 // the sweep), potrf_vbatched_hetero_max takes it from the caller.
 //
 // Self-healing: when the pool carries a fault spec (DevicePool::set_faults,
-// CLI --inject-faults, or the VBATCH_INJECT_FAULTS environment knob), the
-// schedule runs under the deterministic recovery loop of scheduler.hpp —
-// bounded retries with virtual-time backoff, LPT re-dispatch of chunks
-// orphaned by executor loss, a watchdog converting hangs into loss. As
+// CLI --inject-faults, or the VBATCH_INJECT_FAULTS environment knob, which
+// the pool reads once when it gets its first executor), the schedule runs
+// under the deterministic recovery loop of scheduler.hpp — bounded retries
+// with virtual-time backoff, LPT re-dispatch of chunks orphaned by
+// executor loss, a watchdog converting hangs into loss. As
 // long as one executor survives, the factors and info stay bit-identical
 // to the fault-free run (numerics only ever run on the one successful
 // attempt); unrecoverable chunks poison their problems' info with
@@ -42,7 +45,7 @@
 namespace vbatch::hetero {
 
 struct HeteroOptions {
-  PotrfOptions potrf;  ///< forwarded to the per-chunk drivers (path pinned globally)
+  PotrfOptions potrf;  ///< resolved once into the plan every chunk runs
   Partition partition = Partition::CostModel;
   StealPolicy steal = StealPolicy::MostLoaded;
   bool work_stealing = true;
@@ -51,8 +54,7 @@ struct HeteroOptions {
   int chunks_per_executor = 4;
   std::uint64_t steal_seed = 2016;
   /// Retry/backoff/watchdog bounds for fault recovery (docs/robustness.md).
-  /// Only consulted when the pool carries a fault spec (or the
-  /// VBATCH_INJECT_FAULTS environment knob is set).
+  /// Only consulted when the pool carries a fault spec.
   fault::RetryPolicy retry;
 
   /// Out-of-core staging policy (docs/heterogeneous.md, "Out-of-core

@@ -153,28 +153,38 @@ TEST(HeteroBitIdentity, EveryPartitionAndStealScheduleMatches) {
 }
 
 TEST(HeteroBitIdentity, BothPathsAndBothUplos) {
-  const auto sizes = test_sizes(60, 200);
-  for (PotrfPath path : {PotrfPath::Fused, PotrfPath::Separated}) {
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-      PotrfOptions popts;
-      popts.path = path;
+  // nmax 200 stays below the DP crossover (320), so Auto resolves to Fused;
+  // nmax 400 reaches above it, so Auto resolves to Separated.
+  for (int nmax : {200, 400}) {
+    const auto sizes = test_sizes(60, nmax);
+    const bool above_crossover = *std::max_element(sizes.begin(), sizes.end()) > 320;
+    ASSERT_EQ(above_crossover, nmax > 320);
+    for (PotrfPath path : {PotrfPath::Auto, PotrfPath::Fused, PotrfPath::Separated}) {
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+        PotrfOptions popts;
+        popts.path = path;
 
-      Queue q1;
-      Batch<double> b1(q1, sizes);
-      Rng f1(7);
-      b1.fill_spd(f1);
-      potrf_vbatched<double>(q1, uplo, b1, popts);
+        Queue q1;
+        Batch<double> b1(q1, sizes);
+        Rng f1(7);
+        b1.fill_spd(f1);
+        const PotrfResult single = potrf_vbatched<double>(q1, uplo, b1, popts);
 
-      DevicePool pool = DevicePool::parse("cpu,k40c,k40c");
-      Queue q2;
-      Batch<double> b2(q2, sizes);
-      Rng f2(7);
-      b2.fill_spd(f2);
-      HeteroOptions hopts;
-      hopts.potrf = popts;
-      const auto r = potrf_vbatched_hetero<double>(pool, uplo, b2, hopts);
-      EXPECT_EQ(r.path_taken, path);
-      expect_bit_identical(snapshot(b1), snapshot(b2), to_string(path));
+        DevicePool pool = DevicePool::parse("cpu,k40c,k40c");
+        Queue q2;
+        Batch<double> b2(q2, sizes);
+        Rng f2(7);
+        b2.fill_spd(f2);
+        HeteroOptions hopts;
+        hopts.potrf = popts;
+        const auto r = potrf_vbatched_hetero<double>(pool, uplo, b2, hopts);
+        if (path == PotrfPath::Auto)
+          EXPECT_EQ(single.path_taken, above_crossover ? PotrfPath::Separated : PotrfPath::Fused);
+        else
+          EXPECT_EQ(single.path_taken, path);
+        EXPECT_EQ(r.path_taken, single.path_taken) << to_string(path) << " nmax " << nmax;
+        expect_bit_identical(snapshot(b1), snapshot(b2), to_string(path));
+      }
     }
   }
 }

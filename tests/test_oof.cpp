@@ -503,13 +503,22 @@ TEST(HeteroOofReport, ArenaEnvKnobAppliesOnlyToUnpinnedExecutors) {
   EXPECT_TRUE(r.executors[0].streamed);    // env default applied
   EXPECT_FALSE(r.executors[1].streamed);   // parse-pinned budget wins
 
+  // The knob is read when the pool is built: setting it afterwards leaves
+  // that pool's budget alone.
+  DevicePool built_before = DevicePool::parse("k40c");
+  ASSERT_EQ(0, setenv("VBATCH_ARENA_GB", buf, 1));
+  Queue ql;
+  Batch<double> bl(ql, sizes);
+  Rng fl(7);
+  bl.fill_spd(fl);
+  const auto late = potrf_vbatched_hetero<double>(built_before, Uplo::Lower, bl);
+  unsetenv("VBATCH_ARENA_GB");
+  EXPECT_FALSE(late.executors[0].streamed);
+  EXPECT_DOUBLE_EQ(built_before.executor(0).arena_bytes(),
+                   static_cast<double>(sim::DeviceSpec::k40c().global_mem_bytes));
+
   ASSERT_EQ(0, setenv("VBATCH_ARENA_GB", "not-a-number", 1));
-  DevicePool bad = DevicePool::parse("k40c");
-  Queue qb;
-  Batch<double> bb(qb, sizes);
-  Rng fb(7);
-  bb.fill_spd(fb);
-  EXPECT_THROW((void)potrf_vbatched_hetero<double>(bad, Uplo::Lower, bb), vbatch::Error);
+  EXPECT_THROW((void)DevicePool::parse("k40c"), vbatch::Error);
   unsetenv("VBATCH_ARENA_GB");
 }
 

@@ -30,6 +30,8 @@
 #include "vbatch/service/service.hpp"
 #include "vbatch/util/error.hpp"
 
+#include "cli_number.hpp"
+
 namespace {
 
 [[noreturn]] void usage(int exit_code) {
@@ -66,30 +68,31 @@ int main(int argc, char** argv) {
     if (arg == "--help") usage(0);
     else if (arg == "--gen") gen = true;
     else if (arg == "--replay") replay_file = next();
-    else if (arg == "--count") gen_cfg.count = std::atoi(next());
-    else if (arg == "--tenants") gen_cfg.tenants = std::atoi(next());
-    else if (arg == "--rate") gen_cfg.rate = std::atof(next());
-    else if (arg == "--nmax") gen_cfg.nmax = std::atoi(next());
-    else if (arg == "--max-matrices") gen_cfg.max_matrices = std::atoi(next());
+    else if (arg == "--count") gen_cfg.count = cli::number<int>(arg, next());
+    else if (arg == "--tenants") gen_cfg.tenants = cli::number<int>(arg, next());
+    else if (arg == "--rate") gen_cfg.rate = cli::number<double>(arg, next());
+    else if (arg == "--nmax") gen_cfg.nmax = cli::number<int>(arg, next());
+    else if (arg == "--max-matrices") gen_cfg.max_matrices = cli::number<int>(arg, next());
     else if (arg == "--mix-ops") gen_cfg.mix_ops = true;
     else if (arg == "--mix-precisions") gen_cfg.mix_precisions = true;
-    else if (arg == "--seed") gen_cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--burst") gen_cfg.burst = std::atof(next());
-    else if (arg == "--deadline-frac") gen_cfg.deadline_frac = std::atof(next());
-    else if (arg == "--deadline") gen_cfg.deadline_seconds = std::atof(next());
+    else if (arg == "--seed") gen_cfg.seed = cli::number<std::uint64_t>(arg, next());
+    else if (arg == "--burst") gen_cfg.burst = cli::number<double>(arg, next());
+    else if (arg == "--deadline-frac") gen_cfg.deadline_frac = cli::number<double>(arg, next());
+    else if (arg == "--deadline") gen_cfg.deadline_seconds = cli::number<double>(arg, next());
     else if (arg == "--pool") pool_desc = next();
-    else if (arg == "--latency-budget") cfg.coalesce.latency_budget = std::atof(next());
-    else if (arg == "--max-batch") cfg.coalesce.max_batch = std::atoi(next());
+    else if (arg == "--latency-budget")
+      cfg.coalesce.latency_budget = cli::number<double>(arg, next());
+    else if (arg == "--max-batch") cfg.coalesce.max_batch = cli::number<int>(arg, next());
     else if (arg == "--max-footprint-gb")
-      cfg.coalesce.max_bytes = std::atof(next()) * 1024.0 * 1024.0 * 1024.0;
+      cfg.coalesce.max_bytes = cli::number<double>(arg, next()) * 1024.0 * 1024.0 * 1024.0;
     else if (arg == "--full") cfg.mode = sim::ExecMode::Full;
     else if (arg == "--check") check = true;
     else if (arg == "--max-queue") {
       cfg.admission.enabled = true;
-      cfg.admission.max_queue = std::atoi(next());
+      cfg.admission.max_queue = cli::number<int>(arg, next());
     } else if (arg == "--tenant-rate") {
       cfg.admission.enabled = true;
-      cfg.admission.tenant_rate_gflops = std::atof(next());
+      cfg.admission.tenant_rate_gflops = cli::number<double>(arg, next());
     }
     else usage(2);
   }

@@ -103,7 +103,11 @@
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/thread_pool.hpp"
 
+#include "cli_number.hpp"
+
 namespace {
+
+namespace cli = vbatch::cli;
 
 struct CliOptions {
   int batch = 1000;
@@ -157,9 +161,9 @@ CliOptions parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--help") usage(argv[0], 0);
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
+    if (arg == "--batch") o.batch = cli::number<int>(arg, next());
+    else if (arg == "--nmax") o.nmax = cli::number<int>(arg, next());
+    else if (arg == "--seed") o.seed = cli::number<std::uint64_t>(arg, next());
     else if (arg == "--dist") {
       const std::string v = next();
       if (v == "uniform") o.dist = vbatch::SizeDist::Uniform;
@@ -195,22 +199,22 @@ CliOptions parse(int argc, char** argv) {
       if (o.device != "k40c" && o.device != "p100") usage(argv[0], 2);
     } else if (arg == "--hetero") o.hetero = next();
     else if (arg == "--inject-faults") o.inject_faults = next();
-    else if (arg == "--streams") o.streams = std::atoi(next());
-    else if (arg == "--arena-gb") o.arena_gb = std::atof(next());
+    else if (arg == "--streams") o.streams = cli::number<int>(arg, next());
+    else if (arg == "--arena-gb") o.arena_gb = cli::number<double>(arg, next());
     else if (arg == "--no-sort") o.potrf.implicit_sorting = false;
     else if (arg == "--tune") o.tune = true;
     else if (arg == "--profile") o.profile = true;
     else if (arg == "--energy") o.energy = true;
     else if (arg == "--verify") o.verify = true;
-    else if (arg == "--threads") o.threads = std::atoi(next());
+    else if (arg == "--threads") o.threads = cli::number<int>(arg, next());
     else if (arg == "--serve") o.serve = true;
     else if (arg == "--trace") o.trace_file = next();
-    else if (arg == "--latency-budget") o.latency_budget = std::atof(next());
-    else if (arg == "--max-batch") o.max_batch = std::atoi(next());
-    else if (arg == "--max-footprint-gb") o.max_footprint_gb = std::atof(next());
+    else if (arg == "--latency-budget") o.latency_budget = cli::number<double>(arg, next());
+    else if (arg == "--max-batch") o.max_batch = cli::number<int>(arg, next());
+    else if (arg == "--max-footprint-gb") o.max_footprint_gb = cli::number<double>(arg, next());
     else if (arg == "--tenants") o.tenants = next();
-    else if (arg == "--max-queue") o.max_queue = std::atoi(next());
-    else if (arg == "--tenant-rate") o.tenant_rate = std::atof(next());
+    else if (arg == "--max-queue") o.max_queue = cli::number<int>(arg, next());
+    else if (arg == "--tenant-rate") o.tenant_rate = cli::number<double>(arg, next());
     else usage(argv[0], 2);
   }
   if (o.batch < 1 || o.nmax < 1 || o.threads < 0 || o.streams < 0) usage(argv[0], 2);
@@ -281,6 +285,25 @@ std::vector<std::pair<std::string, double>> parse_tenants(const std::string& lis
   return weights;
 }
 
+/// Applies --streams, --arena-gb and --inject-faults to a parsed pool and
+/// prints the "faults:" line; returns false after reporting a bad fault spec.
+bool configure_pool(vbatch::hetero::DevicePool& pool, const CliOptions& o) {
+  if (o.streams > 0)
+    for (int e = 0; e < pool.size(); ++e) pool.executor(e).set_streams(o.streams);
+  if (o.arena_gb > 0.0)
+    for (int e = 0; e < pool.size(); ++e)
+      if (pool.executor(e).is_gpu()) pool.executor(e).set_arena_gb(o.arena_gb);
+  if (o.inject_faults.empty()) return true;
+  try {
+    pool.set_faults(vbatch::fault::parse_fault_spec(o.inject_faults));
+  } catch (const vbatch::Error& err) {
+    std::fprintf(stderr, "--inject-faults %s: %s\n", o.inject_faults.c_str(), err.what());
+    return false;
+  }
+  std::printf("faults:   %s\n", pool.faults().describe().c_str());
+  return true;
+}
+
 /// --serve: replay the scripted trace through the service front-end on the
 /// virtual-time clock and print the ServiceReport.
 int run_serve(const CliOptions& o) {
@@ -303,20 +326,7 @@ int run_serve(const CliOptions& o) {
     std::fprintf(stderr, "pool %s: %s\n", pool_desc.c_str(), err.what());
     return 2;
   }
-  if (o.streams > 0)
-    for (int e = 0; e < pool.size(); ++e) pool.executor(e).set_streams(o.streams);
-  if (o.arena_gb > 0.0)
-    for (int e = 0; e < pool.size(); ++e)
-      if (pool.executor(e).is_gpu()) pool.executor(e).set_arena_gb(o.arena_gb);
-  if (!o.inject_faults.empty()) {
-    try {
-      pool.set_faults(fault::parse_fault_spec(o.inject_faults));
-    } catch (const Error& err) {
-      std::fprintf(stderr, "--inject-faults %s: %s\n", o.inject_faults.c_str(), err.what());
-      return 2;
-    }
-    std::printf("faults:   %s\n", pool.faults().describe().c_str());
-  }
+  if (!configure_pool(pool, o)) return 2;
 
   svc::ServiceConfig cfg;
   cfg.coalesce.latency_budget = o.latency_budget;
@@ -418,20 +428,7 @@ int run(const CliOptions& o) {
       std::fprintf(stderr, "--hetero %s: %s\n", o.hetero.c_str(), err.what());
       return 2;
     }
-    if (o.streams > 0)
-      for (int e = 0; e < pool.size(); ++e) pool.executor(e).set_streams(o.streams);
-    if (o.arena_gb > 0.0)
-      for (int e = 0; e < pool.size(); ++e)
-        if (pool.executor(e).is_gpu()) pool.executor(e).set_arena_gb(o.arena_gb);
-    if (!o.inject_faults.empty()) {
-      try {
-        pool.set_faults(fault::parse_fault_spec(o.inject_faults));
-      } catch (const vbatch::Error& err) {
-        std::fprintf(stderr, "--inject-faults %s: %s\n", o.inject_faults.c_str(), err.what());
-        return 2;
-      }
-      std::printf("faults:   %s\n", pool.faults().describe().c_str());
-    }
+    if (!configure_pool(pool, o)) return 2;
     std::printf("pool:     %s\n", pool.describe().c_str());
     hetero::HeteroOptions hopts;
     hopts.potrf = opts;
