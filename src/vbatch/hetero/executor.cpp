@@ -72,7 +72,9 @@ ChunkEstimate GpuExecutor::estimate(const ChunkWork& work) {
   scratch_.device().clear_timeline();
   scratch_info_.assign(work.n.size(), 0);
   ChunkEstimate ce;
+  scratch_.device().start_log();
   ce.seconds = work.run(scratch_, scratch_info_);
+  ce.log = scratch_.device().take_log();
   if (ce.seconds > 0.0) {
     // Duration-weighted slot occupancy over the dry-run timeline: each
     // launch fills grid_blocks of the device's num_sms × resident slots.
@@ -91,11 +93,11 @@ ChunkEstimate GpuExecutor::estimate(const ChunkWork& work) {
   return ce;
 }
 
-double GpuExecutor::execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) {
+double GpuExecutor::execute(const ChunkEstimate& est, const StreamSlot& slot) {
   sim::Device& dev = queue_.device();
   const std::size_t first = dev.timeline().size();
   const double base = dev.time();
-  const double serial = work.run(queue_, info);
+  dev.replay(est.log);
   // Move the records the chunk just appended into its scheduled slot. With
   // one stream this is the identity placement (slot.start is the executor
   // clock, rate 1) and the tag stays -1 so single-stream profiles look
@@ -111,7 +113,7 @@ double GpuExecutor::execute(const ChunkWork& work, std::span<int> info, const St
   if (slot.d2h_seconds > 0.0)
     dev.record_transfer(sim::TransferDir::D2H, slot.chunk, slot.bytes,
                         call_t0_ + slot.d2h_start, slot.d2h_seconds);
-  return serial;
+  return est.seconds;
 }
 
 void GpuExecutor::charge_fault(const std::string& what, double seconds, double start) {
@@ -133,8 +135,8 @@ CpuExecutor::CpuExecutor(std::string name, const cpu::CpuSpec& spec,
                          const energy::PowerModel& power)
     : Executor(std::move(name), power),
       spec_(spec),
-      // The hidden queue exists to host the shared kernel math; any spec
-      // works because its modelled clock is discarded.
+      // The K40c model carries the CPU's chunk numerics (the plan pins
+      // every blocking knob); its modelled clock is discarded.
       numerics_(sim::DeviceSpec::k40c(), sim::ExecMode::Full) {}
 
 CpuExecutor::~CpuExecutor() = default;
@@ -143,15 +145,13 @@ ChunkEstimate CpuExecutor::estimate(const ChunkWork& work) {
   // The paper's best CPU strategy (§IV-F): one core per matrix, dynamic
   // scheduling. Purely analytic, so estimate == execute time. Every core is
   // already busy under that schedule — occupancy 1, no overlap headroom.
-  return {cpu::per_core_makespan(spec_, cpu::Schedule::Dynamic, work.prec, work.n), 1.0};
+  ChunkEstimate ce;
+  ce.seconds = cpu::per_core_makespan(spec_, cpu::Schedule::Dynamic, work.prec, work.n);
+  return ce;
 }
 
-double CpuExecutor::execute(const ChunkWork& work, std::span<int> info,
-                            const StreamSlot& /*slot*/) {
-  if (numerics_.full()) {
-    work.run(numerics_, info);  // modelled GPU seconds discarded
-  }
-  return cpu::per_core_makespan(spec_, cpu::Schedule::Dynamic, work.prec, work.n);
+double CpuExecutor::execute(const ChunkEstimate& est, const StreamSlot& /*slot*/) {
+  return est.seconds;
 }
 
 energy::EnergyResult CpuExecutor::call_energy(Precision prec, double busy_seconds,

@@ -6,17 +6,20 @@
 // Executor accepts nb-aligned chunks of a size-sorted batch and provides
 //   * an exact cost estimate per chunk (a timing-only dry run of the very
 //     same driver the chunk would execute — the partitioner's input), and
-//   * chunk execution: numerics (Full mode) plus modelled seconds.
+//   * chunk commit: the estimate's modelled seconds charged to the
+//     executor's timing authority in the scheduled slot.
 //
-// Numerics are device-independent by construction: every executor runs the
+// Numerics are device-independent by construction: every chunk runs the
 // identical pinned single-device driver (same path, same blocking), so a
 // matrix factors to the same bits no matter which executor the partitioner
-// or the work-stealing scheduler hands it to. Only the *time* differs:
+// or the work-stealing scheduler hands it to. The hetero driver runs them
+// after the schedule, once per committed chunk, on a private queue with the
+// committing executor's spec (queue().spec()). Only the *time* differs:
 //   * GpuExecutor charges its own sim::Device clock (occupancy, launch
-//     overheads, roofline — everything the simulator models);
+//     overheads, roofline — everything the simulator models) by replaying
+//     the chunk's dry-run launch log;
 //   * CpuExecutor charges the calibrated one-core-per-matrix dynamic
-//     schedule of cpu::CpuSpec (the paper's best CPU competitor, §IV-F)
-//     while still running the shared kernel math for the payload.
+//     schedule of cpu::CpuSpec (the paper's best CPU competitor, §IV-F).
 #pragma once
 
 #include <functional>
@@ -56,6 +59,10 @@ struct ChunkWork {
 struct ChunkEstimate {
   double seconds = 0.0;
   double occupancy = 1.0;
+  /// The dry run's launches (GPU executors; empty for the analytic CPU
+  /// model). Committing the chunk replays this log instead of re-running
+  /// its driver.
+  sim::LaunchLog log;
 };
 
 class Executor {
@@ -76,9 +83,10 @@ class Executor {
   /// calibrate against observed launches.
   [[nodiscard]] virtual double peak_gflops(Precision prec) const noexcept = 0;
 
-  /// The queue numerics run through. For a GPU executor this is also the
-  /// timing authority; the CPU executor uses it only to host the shared
-  /// kernel math (its clock is ignored in favour of the CPU model).
+  /// The executor's queue. For a GPU executor it is the timing authority;
+  /// the CPU executor's clock is ignored in favour of the CPU model. Its
+  /// spec is the one chunk numerics run with, and executor 0's queue hosts
+  /// a hetero call's argument sweep.
   [[nodiscard]] virtual Queue& queue() noexcept = 0;
 
   /// Aligns the executor with the caller's execution mode and marks the
@@ -108,14 +116,14 @@ class Executor {
   [[nodiscard]] bool arena_explicit() const noexcept { return arena_explicit_; }
 
   /// Exact modelled cost of the chunk here: serial seconds from a
-  /// timing-only dry run of the same driver `execute` uses, plus the
-  /// chunk's modelled device occupancy (the overlap headroom).
+  /// timing-only dry run of the chunk's driver, plus the chunk's modelled
+  /// device occupancy (the overlap headroom) and the run's launch log.
   [[nodiscard]] virtual ChunkEstimate estimate(const ChunkWork& work) = 0;
 
-  /// Executes the chunk (numerics in Full mode) into `info` and places its
-  /// timeline records into the scheduled stream slot; returns the serial
-  /// modelled seconds of the chunk.
-  virtual double execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) = 0;
+  /// Commits the chunk `est` was estimated for: places its modelled time
+  /// into the scheduled stream slot (a GPU replays the dry-run log onto its
+  /// device) and returns the serial modelled seconds. Runs no numerics.
+  virtual double execute(const ChunkEstimate& est, const StreamSlot& slot) = 0;
 
   /// Charges a fault-recovery interval (a wasted faulted attempt, a retry
   /// backoff, a watchdog stall) to this executor's timing authority. GPU
@@ -164,21 +172,22 @@ class GpuExecutor final : public Executor {
   void begin_call(sim::ExecMode mode) override;
   [[nodiscard]] int max_streams() const noexcept override;
   [[nodiscard]] ChunkEstimate estimate(const ChunkWork& work) override;
-  double execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) override;
+  double execute(const ChunkEstimate& est, const StreamSlot& slot) override;
   void charge_fault(const std::string& what, double seconds, double start) override;
   [[nodiscard]] energy::EnergyResult call_energy(Precision prec, double busy_seconds,
                                                  double flops) const override;
 
  private:
-  Queue queue_;    ///< the executor device (numerics + timing authority)
+  Queue queue_;    ///< the executor device (timing authority)
   Queue scratch_;  ///< same spec, pinned TimingOnly — the dry-run estimator
   std::vector<int> scratch_info_;
   double call_t0_ = 0.0;  ///< device clock at begin_call (energy slice start)
 };
 
-/// The host CPU pool as a first-class executor: numerics run through the
-/// shared kernel math (bit-identical to every other executor); time follows
-/// cpu::per_core_makespan's dynamic one-core-per-matrix schedule.
+/// The host CPU pool as a first-class executor: its chunks' numerics run
+/// through the shared kernel math (bit-identical to every other executor);
+/// time follows cpu::per_core_makespan's dynamic one-core-per-matrix
+/// schedule.
 class CpuExecutor final : public Executor {
  public:
   CpuExecutor(std::string name, const cpu::CpuSpec& spec, const energy::PowerModel& power);
@@ -187,7 +196,7 @@ class CpuExecutor final : public Executor {
   [[nodiscard]] bool is_gpu() const noexcept override { return false; }
   [[nodiscard]] Queue& queue() noexcept override { return numerics_; }
   [[nodiscard]] const cpu::CpuSpec& spec() const noexcept { return spec_; }
-  /// The device model of the queue hosting the numerics.
+  /// The device model chunk numerics run with on this executor.
   [[nodiscard]] const sim::DeviceSpec& numerics_spec() const noexcept { return numerics_.spec(); }
   [[nodiscard]] double peak_gflops(Precision prec) const noexcept override {
     return spec_.total_peak_gflops(prec);
@@ -195,14 +204,14 @@ class CpuExecutor final : public Executor {
 
   [[nodiscard]] int max_streams() const noexcept override { return 1; }
   [[nodiscard]] ChunkEstimate estimate(const ChunkWork& work) override;
-  double execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) override;
+  double execute(const ChunkEstimate& est, const StreamSlot& slot) override;
   [[nodiscard]] energy::EnergyResult call_energy(Precision prec, double busy_seconds,
                                                  double flops) const override;
 
  private:
   cpu::CpuSpec spec_;
-  /// Hosts the shared kernel math so CPU-executed matrices factor to the
-  /// same bits as GPU-executed ones; its modelled clock is never reported.
+  /// Carries the numerics spec (and, as executor 0, hosts the argument
+  /// sweep); its modelled clock is never reported.
   Queue numerics_;
 };
 

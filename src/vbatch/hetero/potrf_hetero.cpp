@@ -1,9 +1,11 @@
 #include "vbatch/hetero/potrf_hetero.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace vbatch::hetero {
 
@@ -92,16 +94,20 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
   // --- Estimate every (executor, chunk) pair: dry runs on the timing twins
   // (GPU) or the analytic CPU model. Exact by construction. The dry run
   // also yields the chunk's device occupancy — the overlap headroom the
-  // multi-stream schedule exploits.
+  // multi-stream schedule exploits — and its launch log, which the commit
+  // replays.
+  std::vector<std::vector<ChunkEstimate>> dry(static_cast<std::size_t>(E));
   std::vector<std::vector<double>> est(static_cast<std::size_t>(E));
   std::vector<std::vector<double>> occ(static_cast<std::size_t>(E));
   std::vector<int> streams(static_cast<std::size_t>(E), 1);
   for (int e = 0; e < E; ++e) {
+    dry[static_cast<std::size_t>(e)].resize(static_cast<std::size_t>(C));
     est[static_cast<std::size_t>(e)].resize(static_cast<std::size_t>(C));
     occ[static_cast<std::size_t>(e)].resize(static_cast<std::size_t>(C));
     streams[static_cast<std::size_t>(e)] = pool.executor(e).streams();
     for (int c = 0; c < C; ++c) {
-      const ChunkEstimate ce = pool.executor(e).estimate(work[static_cast<std::size_t>(c)]);
+      ChunkEstimate& ce = dry[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)];
+      ce = pool.executor(e).estimate(work[static_cast<std::size_t>(c)]);
       est[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)] = ce.seconds;
       occ[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)] = ce.occupancy;
     }
@@ -187,8 +193,8 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
       sp,
       std::function<double(int, int, const StreamSlot&)>([&](int e, int c,
                                                              const StreamSlot& slot) {
-        return pool.executor(e).execute(work[static_cast<std::size_t>(c)],
-                                        data[static_cast<std::size_t>(c)].info, slot);
+        return pool.executor(e).execute(
+            dry[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)], slot);
       }),
       [&](const fault::FaultEvent& ev) {
         // Make the wasted virtual time visible on the acting executor's
@@ -204,6 +210,31 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch, int calle
         if (ev.backoff_seconds > 0.0)
           ex.charge_fault("fault.backoff", ev.backoff_seconds, ev.start + ev.waste_seconds);
       });
+
+  // --- Numerics (Full mode): the schedule committed every chunk's time
+  // from its dry run; the factorizations run now, once per committed chunk,
+  // spread across the host pool. Each chunk owns disjoint matrices and runs
+  // on a private queue with its committing executor's spec, so the bits are
+  // the same in any order and at any thread count; block loops nested in a
+  // pool worker run inline. Poisoned chunks never run: their data stays
+  // untouched.
+  if (mode == sim::ExecMode::Full) {
+    std::vector<int> done;
+    for (int c = 0; c < C; ++c)
+      if (sched.executed_by[static_cast<std::size_t>(c)] >= 0) done.push_back(c);
+    std::vector<std::exception_ptr> errors(done.size());
+    util::host_pool().parallel_for(static_cast<int>(done.size()), [&](int i) {
+      const auto c = static_cast<std::size_t>(done[static_cast<std::size_t>(i)]);
+      try {
+        Queue q(pool.executor(sched.executed_by[c]).queue().spec(), sim::ExecMode::Full);
+        work[c].run(q, data[c].info);
+      } catch (...) {
+        errors[static_cast<std::size_t>(i)] = std::current_exception();
+      }
+    });
+    for (const std::exception_ptr& err : errors)
+      if (err) std::rethrow_exception(err);
+  }
 
   // --- Merge: scatter chunk-local statuses back to submission order. A
   // poisoned chunk (no surviving executor could complete it) marks every

@@ -29,8 +29,8 @@
 // with virtual-time backoff, LPT re-dispatch of chunks orphaned by
 // executor loss, a watchdog converting hangs into loss. As
 // long as one executor survives, the factors and info stay bit-identical
-// to the fault-free run (numerics only ever run on the one successful
-// attempt); unrecoverable chunks poison their problems' info with
+// to the fault-free run (numerics run after the schedule, once per chunk
+// that committed); unrecoverable chunks poison their problems' info with
 // kInfoChunkLost instead of throwing. See docs/robustness.md.
 #pragma once
 

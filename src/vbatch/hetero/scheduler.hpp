@@ -16,11 +16,13 @@
 // for the device's modelled slot capacity — with occupancy occ and free
 // share s = max(1 − Σ occ_inflight, 1/(inflight+1)), it progresses at rate
 // min(1, s/occ), i.e. a low-occupancy chunk overlaps for free while
-// device-filling chunks degrade gracefully to the serial makespan. The
-// numerics of a chunk run exactly once, at COMMIT time, in global virtual-
-// time order — dispatch only reserves the slot — so factors and info are
-// bit-identical to the single-stream schedule for every stream count; only
-// the virtual-time placement (and hence the makespan) changes. With
+// device-filling chunks degrade gracefully to the serial makespan. A chunk
+// commits (the execute callback) exactly once, at its modelled completion,
+// in global virtual-time order — dispatch only reserves the slot — and the
+// hetero driver runs each committed chunk's numerics once after the loop,
+// so factors and info are bit-identical to the single-stream schedule for
+// every stream count; only the virtual-time placement (and hence the
+// makespan) changes. With
 // streams[e] == 1 everywhere the loop reproduces the classic serial
 // schedule clock-for-clock.
 //
@@ -39,8 +41,8 @@
 // host→device DMA lane as soon as the arena admits the chunk's bytes,
 // compute once the copy lands and one of the streams[e] compute slots
 // frees, write-back on the independent D2H lane — and the chunk commits
-// (numerics run, exactly once, in global virtual-time order) when the
-// write-back completes. With prefetch on, the executor holds one extra
+// (exactly once, in global virtual-time order) when the write-back
+// completes. With prefetch on, the executor holds one extra
 // pipeline slot, so chunk k+1's H2D overlaps chunk k's compute and chunk
 // k-1's D2H (double buffering); with prefetch off the stages serialize per
 // slot (synchronous staging — the bench baseline). Executors without
@@ -55,10 +57,11 @@
 // permanent executor loss; a scheduled death orphans the executor's deque,
 // which is likewise re-dispatched — down to a single survivor (CPU-only as
 // the last resort). A dying executor also aborts every chunk still in
-// flight on its streams (their numerics never committed, so they
-// re-dispatch cleanly; the partial intervals are logged as InFlightLost
-// waste). The execute callback runs only for the one successful attempt of
-// each chunk, so recovered runs stay bit-identical to fault-free ones; a
+// flight on its streams (they never committed, so they re-dispatch
+// cleanly; the partial intervals are logged as InFlightLost waste). The
+// execute callback runs only for the one successful attempt of each chunk
+// — and the driver runs numerics only for committed chunks — so recovered
+// runs stay bit-identical to fault-free ones; a
 // chunk no survivor could complete is marked poisoned instead of aborting
 // the call.
 #pragma once
@@ -169,7 +172,7 @@ struct ScheduleResult {
   double backoff_seconds = 0.0;     ///< total virtual backoff across the pool
 };
 
-/// Runs the virtual-time loop. `execute(e, c, slot)` must run chunk c on
+/// Runs the virtual-time loop. `execute(e, c, slot)` must commit chunk c on
 /// executor e in the given stream slot and return the serial modelled
 /// seconds; it is called exactly once for the successful attempt of each
 /// completed chunk (never for faulted or aborted-in-flight attempts, never

@@ -1,6 +1,7 @@
 #include "vbatch/sim/device.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/thread_pool.hpp"
@@ -131,14 +132,44 @@ void Device::retime_tail(std::size_t first_record, double base, double start, do
   clock_ = std::max(clock_, tail);
 }
 
+void Device::commit(std::span<const KernelRecord> records, double advance) {
+  if (logging_) {
+    log_.records.insert(log_.records.end(), records.begin(), records.end());
+    log_.launches.emplace_back(log_.records.size(), advance);
+  }
+  for (KernelRecord rec : records) {
+    rec.start = clock_ + rec.start;
+    rec.end = clock_ + rec.end;
+    timeline_.add(std::move(rec));
+  }
+  clock_ += advance;
+}
+
+void Device::start_log() {
+  log_ = LaunchLog{};
+  logging_ = true;
+}
+
+LaunchLog Device::take_log() {
+  logging_ = false;
+  return std::exchange(log_, LaunchLog{});
+}
+
+void Device::replay(const LaunchLog& log) {
+  std::size_t begin = 0;
+  for (const auto& [end, advance] : log.launches) {
+    commit(std::span(log.records).subspan(begin, end - begin), advance);
+    begin = end;
+  }
+}
+
 double Device::launch(const LaunchConfig& cfg, const BlockFn& fn) {
   const auto& costs = run_blocks(cfg, fn);
   const KernelTiming timing = schedule_kernel(spec_, cfg, costs, true, &plan_cache_);
 
   KernelRecord rec;
   rec.name = cfg.name;
-  rec.start = clock_;
-  rec.end = clock_ + timing.seconds;
+  rec.end = timing.seconds;
   rec.grid_blocks = cfg.grid_blocks;
   rec.block_threads = cfg.block_threads;
   rec.shared_mem = cfg.shared_mem;
@@ -146,9 +177,7 @@ double Device::launch(const LaunchConfig& cfg, const BlockFn& fn) {
   rec.flops = timing.total_flops;
   rec.bytes = timing.total_bytes;
   rec.early_exits = timing.early_exits;
-  timeline_.add(std::move(rec));
-
-  clock_ += timing.seconds;
+  commit(std::span(&rec, 1), timing.seconds);
   return timing.seconds;
 }
 
@@ -174,19 +203,22 @@ double Device::launch_concurrent(const std::vector<LaunchConfig>& configs,
   if (resident == 0) {
     throw_error(Status::LaunchFailure, "streamed kernel shape exceeds device limits");
   }
-  SlotPool slots(spec_.num_sms * resident);
-  std::vector<double> stream_ready(static_cast<std::size_t>(num_streams), 0.0);
 
   // Blocks from all streams co-occupy the device; their lane/bandwidth
   // share follows the effective residency of the pooled grid.
   std::int64_t total_blocks = 0;
   for (const auto& c : configs) total_blocks += c.grid_blocks;
   const int eff_resident = effective_residency(total_blocks, spec_.num_sms, resident);
+  // No more slots than blocks: the surplus would only ever hold free-at-0
+  // entries, so the schedule is the same (see schedule_kernel).
+  SlotPool slots(static_cast<int>(
+      std::min<std::int64_t>(static_cast<std::int64_t>(spec_.num_sms) * resident, total_blocks)));
+  std::vector<double> stream_ready(static_cast<std::size_t>(num_streams), 0.0);
 
   const double enqueue = spec_.stream_enqueue_overhead_us * 1e-6;
   const double dispatch = spec_.block_dispatch_cycles * spec_.cycle_seconds();
   double makespan = 0.0;
-  const double start_clock = clock_;
+  std::vector<KernelRecord> recs(configs.size());
 
   for (std::size_t k = 0; k < configs.size(); ++k) {
     const auto& costs = run_blocks(configs[k], fns[k]);
@@ -207,10 +239,10 @@ double Device::launch_concurrent(const std::vector<LaunchConfig>& configs,
     stream_ready[static_cast<std::size_t>(stream)] = kernel_end;
     makespan = std::max(makespan, kernel_end);
 
-    KernelRecord rec;
+    KernelRecord& rec = recs[k];
     rec.name = configs[k].name;
-    rec.start = start_clock + kernel_start;
-    rec.end = start_clock + kernel_end;
+    rec.start = kernel_start;
+    rec.end = kernel_end;
     rec.grid_blocks = configs[k].grid_blocks;
     rec.block_threads = configs[k].block_threads;
     rec.shared_mem = configs[k].shared_mem;
@@ -219,10 +251,9 @@ double Device::launch_concurrent(const std::vector<LaunchConfig>& configs,
     rec.bytes = bytes;
     rec.early_exits = exits;
     rec.stream = stream;
-    timeline_.add(std::move(rec));
   }
 
-  clock_ += makespan;
+  commit(recs, makespan);
   return makespan;
 }
 

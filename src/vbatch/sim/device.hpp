@@ -14,10 +14,11 @@
 //
 // In ExecMode::Full, launches run every block functor (the real numerics)
 // on the host — partitioned across the shared worker pool
-// (vbatch::util::host_pool), which is safe because CUDA semantics already
-// require grid blocks to be independent. Per-block results are merged in
-// block-index order, so modelled times and factorized bits are identical
-// for any worker count. In ExecMode::TimingOnly the functors are invoked
+// (vbatch::util::host_pool) when the launch is not already running on a
+// pool worker, which is safe because CUDA semantics already require grid
+// blocks to be independent. Per-block results are merged in block-index
+// order, so modelled times and factorized bits are identical for any worker
+// count. In ExecMode::TimingOnly the functors are invoked
 // with a context telling them to skip the math and only report costs;
 // allocations are then virtual (tracked against capacity but not backed by
 // host memory).
@@ -25,6 +26,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -80,6 +82,17 @@ class Device {
   double launch_concurrent(const std::vector<LaunchConfig>& configs,
                            const std::vector<BlockFn>& fns, int num_streams);
 
+  /// Starts recording every launch this device commits (launch and
+  /// launch_concurrent) into a fresh LaunchLog.
+  void start_log();
+  /// Stops recording and hands over what was recorded since start_log.
+  [[nodiscard]] LaunchLog take_log();
+
+  /// Commits a recorded log: its records land on the timeline and the clock
+  /// advances exactly as if its launches ran here — no block runs. The hetero
+  /// executors commit a chunk by replaying its dry run.
+  void replay(const LaunchLog& log);
+
   /// Charges a non-kernel interval to the device: advances the clock by
   /// `seconds` and appends a fault-flagged timeline record under `name`
   /// (zero useful flops). The fault-recovery machinery uses this to make
@@ -124,6 +137,11 @@ class Device {
   /// launch on this device.
   const std::vector<BlockCost>& run_blocks(const LaunchConfig& cfg, const BlockFn& fn);
 
+  /// Appends `records` (start/end relative to the current clock) to the
+  /// timeline — and to the log while recording — then advances the clock by
+  /// `advance`: the one commit live launches and replay both go through.
+  void commit(std::span<const KernelRecord> records, double advance);
+
   DeviceSpec spec_;
   ExecMode mode_;
   std::size_t mem_used_ = 0;
@@ -131,6 +149,8 @@ class Device {
   Timeline timeline_;
   LaunchPlanCache plan_cache_;
   std::vector<BlockCost> cost_scratch_;
+  bool logging_ = false;
+  LaunchLog log_;
   // Real allocations (Full mode) and their sizes; TimingOnly allocations are
   // tag pointers tracked in fake_allocs_.
   std::unordered_map<void*, std::pair<std::unique_ptr<char[]>, std::size_t>> allocs_;

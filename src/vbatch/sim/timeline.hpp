@@ -4,7 +4,9 @@
 // for inspection.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vbatch::sim {
@@ -99,6 +101,18 @@ class Timeline {
  private:
   std::vector<KernelRecord> records_;
   std::vector<TransferRecord> transfers_;
+};
+
+/// The launches a device committed, in order, each relative to the clock at
+/// its launch. Device::replay commits them onto another device with the
+/// same clock arithmetic, so the records and the clock come out
+/// bit-identical to running the launches there — without running a block.
+struct LaunchLog {
+  /// Kernel records whose start/end are offsets from the launch's clock.
+  std::vector<KernelRecord> records;
+  /// One entry per launch call (a streamed group counts once): the end of
+  /// its records in `records` and the seconds it advanced the clock by.
+  std::vector<std::pair<std::size_t, double>> launches;
 };
 
 }  // namespace vbatch::sim

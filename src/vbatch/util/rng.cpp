@@ -76,23 +76,20 @@ double Rng::gaussian(double mean, double stddev) noexcept {
 template <typename T>
 void fill_spd(Rng& rng, T* a, std::int64_t n, std::int64_t ld) {
   using R = real_t<T>;
-  for (std::int64_t j = 0; j < n; ++j)
-    for (std::int64_t i = 0; i < n; ++i) {
-      if constexpr (is_complex_v<T>) {
-        a[i + j * ld] = T(static_cast<R>(rng.uniform()), static_cast<R>(rng.uniform(-0.5, 0.5)));
-      } else {
-        a[i + j * ld] = static_cast<T>(rng.uniform());
-      }
-    }
-  // Hermitian symmetrization (plain symmetric for real) + diagonal boost:
-  // strictly dominant real diagonal makes the matrix positive definite.
+  // Column by column: the real diagonal, then the lower triangle (one draw
+  // each, contiguous), mirrored conjugated into the upper triangle.
   for (std::int64_t j = 0; j < n; ++j) {
+    a[j + j * ld] = T(static_cast<R>(rng.uniform()) + static_cast<R>(n));
     for (std::int64_t i = j + 1; i < n; ++i) {
-      const T sym = T(R(0.5)) * (a[i + j * ld] + conj_val(a[j + i * ld]));
-      a[i + j * ld] = sym;
-      a[j + i * ld] = conj_val(sym);
+      T v;
+      if constexpr (is_complex_v<T>) {
+        v = T(static_cast<R>(rng.uniform()), static_cast<R>(rng.uniform(-0.5, 0.5)));
+      } else {
+        v = static_cast<T>(rng.uniform());
+      }
+      a[i + j * ld] = v;
+      a[j + i * ld] = conj_val(v);
     }
-    a[j + j * ld] = T(real_val(a[j + j * ld]) + static_cast<R>(n));
   }
 }
 

@@ -42,8 +42,11 @@ class Rng {
 };
 
 /// Fills a column-major n×n buffer (leading dimension ld) with a random
-/// symmetric positive definite matrix: A = 0.5(B+Bᵀ) + n·I with B uniform
-/// in [0,1). Diagonal dominance guarantees SPD for any n ≥ 1.
+/// Hermitian (real: symmetric) positive definite matrix. The strict lower
+/// triangle is drawn column by column, each element uniform in [0,1)
+/// (complex: imaginary part uniform in [-0.5,0.5)), and mirrored conjugated
+/// into the upper triangle; the diagonal is real, uniform in [0,1) plus n.
+/// For real types diagonal dominance guarantees SPD for any n ≥ 1.
 template <typename T>
 void fill_spd(Rng& rng, T* a, std::int64_t n, std::int64_t ld);
 

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
+
+#include "vbatch/util/error.hpp"
 
 namespace vbatch::util {
 
@@ -16,15 +21,12 @@ thread_local bool t_in_worker = false;
 
 unsigned clamp_threads(unsigned threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
-  return std::clamp(threads, 1u, 64u);
+  return std::clamp(threads, 1u, kMaxHostThreads);
 }
 
 unsigned env_threads() {
-  if (const char* env = std::getenv("VBATCH_NUM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(std::min<long>(v, 64));
-  }
-  return 0;  // unset / invalid: fall through to hardware concurrency
+  const char* env = std::getenv("VBATCH_NUM_THREADS");
+  return env != nullptr ? parse_num_threads(env) : 0;  // unset: hardware concurrency
 }
 
 std::mutex g_pool_mutex;
@@ -32,6 +34,19 @@ std::unique_ptr<ThreadPool> g_pool;
 unsigned g_requested_threads = 0;  // 0 = default
 
 }  // namespace
+
+unsigned parse_num_threads(const char* text) {
+  const std::string_view sv = text != nullptr ? std::string_view(text) : std::string_view();
+  unsigned v = 0;
+  const auto [end, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), v);
+  if (sv.empty() || ec != std::errc() || end != sv.data() + sv.size() || v < 1 ||
+      v > kMaxHostThreads) {
+    throw_error(Status::InvalidArgument, "VBATCH_NUM_THREADS: expected an integer in [1, " +
+                                             std::to_string(kMaxHostThreads) + "], got '" +
+                                             std::string(sv) + "'");
+  }
+  return v;
+}
 
 ThreadPool::ThreadPool(unsigned threads) {
   threads = clamp_threads(threads);

@@ -56,8 +56,18 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Largest worker count a pool is built with; larger requests clamp to it.
+inline constexpr unsigned kMaxHostThreads = 64;
+
+/// Parses a VBATCH_NUM_THREADS value: a plain decimal integer in
+/// [1, kMaxHostThreads]. Anything else (empty, non-numeric, trailing
+/// garbage, a sign, out of range) throws Status::InvalidArgument naming the
+/// variable.
+[[nodiscard]] unsigned parse_num_threads(const char* text);
+
 /// The shared pool. Lazily constructed on first use with `set_host_threads`'
-/// count if one was set, else VBATCH_NUM_THREADS, else hardware concurrency.
+/// count if one was set, else VBATCH_NUM_THREADS (a malformed value throws,
+/// see parse_num_threads), else hardware concurrency.
 ThreadPool& host_pool();
 
 /// Sets the worker count for host_pool(); 0 restores the default. Rebuilds

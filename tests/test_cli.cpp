@@ -96,6 +96,12 @@ TEST(Cli, InvalidValueRejected) {
   const auto gen = run_tool(TRACE_REPLAY_PATH, "--gen --count zz");
   EXPECT_EQ(gen.exit_code, 2) << gen.output;
   EXPECT_NE(gen.output.find("--count"), std::string::npos) << gen.output;
+  // So does a malformed VBATCH_NUM_THREADS, naming the variable; the CLI
+  // rejects it before any pool is built.
+  const std::string env_cli = std::string("VBATCH_NUM_THREADS=4abc ") + VBATCH_CLI_PATH;
+  const auto env = run_tool(env_cli.c_str(), "--batch 4");
+  EXPECT_EQ(env.exit_code, 2) << env.output;
+  EXPECT_NE(env.output.find("VBATCH_NUM_THREADS"), std::string::npos) << env.output;
 }
 
 }  // namespace

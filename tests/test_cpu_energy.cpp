@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -14,6 +15,7 @@
 #include "vbatch/cpu/perf_model.hpp"
 #include "vbatch/energy/energy_meter.hpp"
 #include "vbatch/energy/power_model.hpp"
+#include "vbatch/util/error.hpp"
 #include "vbatch/util/thread_pool.hpp"
 
 namespace {
@@ -173,6 +175,23 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, NumThreadsEnvParsesStrictly) {
+  // Only the parser sees these values: no pool is ever built from them.
+  EXPECT_EQ(util::parse_num_threads("1"), 1u);
+  EXPECT_EQ(util::parse_num_threads("4"), 4u);
+  EXPECT_EQ(util::parse_num_threads("64"), 64u);
+  for (const char* bad : {"", "abc", "4abc", "4 ", " 4", "+4", "-1", "0", "65", "1e2", "3.5",
+                          "99999999999999999999"}) {
+    try {
+      (void)util::parse_num_threads(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const vbatch::Error& e) {
+      EXPECT_EQ(e.status(), Status::InvalidArgument) << bad;
+      EXPECT_NE(std::string(e.what()).find("VBATCH_NUM_THREADS"), std::string::npos) << bad;
+    }
+  }
 }
 
 TEST(ThreadPool, HostPoolHonorsSetHostThreads) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -17,6 +18,7 @@
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace {
 
@@ -395,6 +397,138 @@ TEST(HeteroDeterminism, SameSeedSameSchedule) {
     EXPECT_DOUBLE_EQ(a.executors[e].busy_seconds, b.executors[e].busy_seconds);
     EXPECT_EQ(a.executors[e].chunks, b.executors[e].chunks);
     EXPECT_EQ(a.executors[e].stolen, b.executors[e].stolen);
+  }
+}
+
+/// Bitwise equality of two doubles (EXPECT_DOUBLE_EQ allows 4 ulps).
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Everything a Full-mode hetero call produces: factors, info, the report's
+/// modelled figures and every GPU executor's timeline.
+struct HeteroRun {
+  std::vector<std::vector<double>> factors;
+  std::vector<int> info;
+  HeteroResult result;
+  std::vector<std::vector<sim::KernelRecord>> kernels;
+  std::vector<std::vector<sim::TransferRecord>> transfers;
+};
+
+HeteroRun run_full(const std::string& desc, const std::string& faults,
+                   const std::vector<int>& sizes) {
+  DevicePool pool = DevicePool::parse(desc);
+  if (!faults.empty()) pool.set_faults(fault::parse_fault_spec(faults));
+  Queue q;
+  Batch<double> batch(q, sizes);
+  Rng fill(7);
+  batch.fill_spd(fill);
+  HeteroRun run;
+  run.result = potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch);
+  run.factors = snapshot(batch);
+  run.info.assign(batch.info().begin(), batch.info().end());
+  for (int e = 0; e < pool.size(); ++e) {
+    if (!pool.executor(e).is_gpu()) continue;
+    const sim::Timeline& tl = pool.executor(e).queue().device().timeline();
+    run.kernels.push_back(tl.records());
+    run.transfers.push_back(tl.transfers());
+  }
+  return run;
+}
+
+void expect_same_run(const HeteroRun& a, const HeteroRun& b, const std::string& what) {
+  expect_bit_identical(a.factors, b.factors, what.c_str());
+  EXPECT_EQ(a.info, b.info) << what;
+  EXPECT_TRUE(same_bits(a.result.seconds, b.result.seconds)) << what;
+  EXPECT_TRUE(same_bits(a.result.energy.joules, b.result.energy.joules)) << what;
+  EXPECT_EQ(a.result.retries, b.result.retries) << what;
+  EXPECT_EQ(a.result.executors_lost, b.result.executors_lost) << what;
+  ASSERT_EQ(a.result.executors.size(), b.result.executors.size()) << what;
+  for (std::size_t e = 0; e < a.result.executors.size(); ++e) {
+    const ExecutorReport& x = a.result.executors[e];
+    const ExecutorReport& y = b.result.executors[e];
+    EXPECT_TRUE(same_bits(x.busy_seconds, y.busy_seconds)) << what << ": busy " << e;
+    EXPECT_TRUE(same_bits(x.finish_seconds, y.finish_seconds)) << what << ": finish " << e;
+    EXPECT_TRUE(same_bits(x.joules, y.joules)) << what << ": joules " << e;
+    EXPECT_EQ(x.chunks, y.chunks) << what << ": chunks " << e;
+  }
+  ASSERT_EQ(a.kernels.size(), b.kernels.size()) << what;
+  for (std::size_t g = 0; g < a.kernels.size(); ++g) {
+    ASSERT_EQ(a.kernels[g].size(), b.kernels[g].size()) << what << ": gpu " << g;
+    for (std::size_t r = 0; r < a.kernels[g].size(); ++r) {
+      const sim::KernelRecord& x = a.kernels[g][r];
+      const sim::KernelRecord& y = b.kernels[g][r];
+      EXPECT_TRUE(x.name == y.name && same_bits(x.start, y.start) && same_bits(x.end, y.end) &&
+                  x.stream == y.stream && x.fault == y.fault && x.grid_blocks == y.grid_blocks &&
+                  same_bits(x.flops, y.flops))
+          << what << ": gpu " << g << " record " << r << " (" << x.name << ")";
+    }
+    ASSERT_EQ(a.transfers[g].size(), b.transfers[g].size()) << what << ": gpu " << g;
+    for (std::size_t r = 0; r < a.transfers[g].size(); ++r)
+      EXPECT_TRUE(same_bits(a.transfers[g][r].start, b.transfers[g][r].start) &&
+                  same_bits(a.transfers[g][r].end, b.transfers[g][r].end))
+          << what << ": gpu " << g << " transfer " << r;
+  }
+}
+
+TEST(HeteroDeterminism, ChunkParallelNumericsMatchAtEveryThreadCount) {
+  // Full-mode numerics run per committed chunk across the host pool; the
+  // worker count must move nothing: not the factors, not the modelled
+  // clocks, not the placement of a single timeline record.
+  const auto sizes = test_sizes(120, 128);
+  struct Case {
+    const char* pool;
+    const char* faults;
+  };
+  const Case cases[] = {
+      {"cpu,k40c,p100", ""},
+      {"cpu,k40c,p100:4streams", ""},
+      {"cpu,k40c:0.001gb,p100:0.001gb", ""},
+      {"cpu,k40c,p100", "transient:exec=2,chunk=-1,times=2;die:exec=1,after=1"},
+  };
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  for (const Case& c : cases) {
+    const std::string what = std::string(c.pool) + " " + c.faults;
+    util::set_host_threads(1);
+    const HeteroRun ref = run_full(c.pool, c.faults, sizes);
+    if (std::string(c.pool).find("gb") != std::string::npos) {
+      EXPECT_TRUE(ref.result.executors[1].streamed) << what;
+      EXPECT_GT(ref.result.h2d_bytes, 0.0) << what;
+    }
+    if (*c.faults != '\0') {
+      EXPECT_GT(ref.result.retries, 0) << what;
+      EXPECT_EQ(ref.result.executors_lost, 1) << what;
+    }
+    for (unsigned t : {2u, hw}) {
+      util::set_host_threads(t);
+      expect_same_run(ref, run_full(c.pool, c.faults, sizes),
+                      what + " @" + std::to_string(t) + " threads");
+    }
+  }
+  util::set_host_threads(0);
+}
+
+TEST(HeteroDeterminism, FullAndTimingOnlyGiveTheSameModelledSeconds) {
+  // A launch sequence replayed on two fresh pools, one Full and one
+  // TimingOnly: the commits replay the same dry-run logs and no clock
+  // advances for numerics, so every call's modelled seconds and busy ledger
+  // agree bit for bit — across calls, as the pools' clocks carry over.
+  DevicePool full = DevicePool::parse("cpu,k40c,p100");
+  DevicePool timing = DevicePool::parse("cpu,k40c,p100");
+  Rng rng(29);
+  for (int launch = 0; launch < 40; ++launch) {
+    const auto sizes = gaussian_sizes(rng, 4 + launch % 7 * 5, 128);
+    Queue qf;
+    Batch<double> bf(qf, sizes);
+    Rng fill(static_cast<std::uint64_t>(launch));
+    bf.fill_spd(fill);
+    Queue qt(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+    Batch<double> bt(qt, sizes);
+    const HeteroResult rf = potrf_vbatched_hetero<double>(full, Uplo::Lower, bf);
+    const HeteroResult rt = potrf_vbatched_hetero<double>(timing, Uplo::Lower, bt);
+    EXPECT_TRUE(same_bits(rf.seconds, rt.seconds)) << "launch " << launch;
+    ASSERT_EQ(rf.executors.size(), rt.executors.size());
+    for (std::size_t e = 0; e < rf.executors.size(); ++e)
+      EXPECT_TRUE(same_bits(rf.executors[e].busy_seconds, rt.executors[e].busy_seconds))
+          << "launch " << launch << ", executor " << e;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "vbatch/sim/device.hpp"
@@ -239,6 +240,35 @@ TEST(SlotPool, MatchesLinearScanOnRandomLoads) {
   EXPECT_DOUBLE_EQ(pool.makespan(), *std::max_element(scan.begin(), scan.end()));
 }
 
+TEST(SlotPool, RightSizedHeapMatchesFullWidthBitwise) {
+  // schedule_kernel and launch_concurrent size the heap to min(slots,
+  // blocks). While blocks remain, a free-at-0 slot is among the minima in
+  // either heap, so every end time — not_before included — and the
+  // makespan must agree bit for bit with the full-width heap.
+  std::uint64_t state = 7;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const int slots = 1 + static_cast<int>(next() % 64);
+    const int blocks = static_cast<int>(next() % static_cast<std::uint64_t>(2 * slots + 1));
+    SlotPool full(slots);
+    SlotPool sized(std::min(slots, blocks));
+    for (int b = 0; b < blocks; ++b) {
+      // Some zero durations and zero not_before values exercise the ties.
+      const double dur = next() % 5 == 0 ? 0.0 : static_cast<double>(next()) * 1e-9;
+      const double not_before = next() % 3 == 0 ? 0.0 : static_cast<double>(next()) * 1e-10;
+      const double a = full.assign(dur, not_before);
+      const double c = sized.assign(dur, not_before);
+      ASSERT_EQ(0, std::memcmp(&a, &c, sizeof a)) << "trial " << trial << ", block " << b;
+    }
+    const double ma = full.makespan();
+    const double mc = sized.makespan();
+    EXPECT_EQ(0, std::memcmp(&ma, &mc, sizeof ma)) << "trial " << trial;
+  }
+}
+
 TEST(Scheduler, EffectiveResidencyBasics) {
   EXPECT_EQ(effective_residency(0, 15, 4), 1);
   EXPECT_EQ(effective_residency(15, 15, 4), 1);   // one wave
@@ -374,6 +404,50 @@ TEST(Device, ConcurrentStreamsOverlapKernels) {
   std::vector<BlockFn> fns(8, fn);
   const double overlapped = stream_dev.launch_concurrent(cfgs, fns, 8);
   EXPECT_LT(overlapped, serial * 0.7);
+}
+
+TEST(Device, ReplayedLogMatchesLiveLaunchesBitwise) {
+  // A log recorded on one device, replayed on another whose clock has
+  // already moved, lands exactly the records and clock a live run there
+  // would: same clock arithmetic, no block run.
+  auto fn = [](const ExecContext&, int b) { return work_block(1e5 * (1 + b % 7), 32, 256); };
+  std::vector<LaunchConfig> cfgs{cfg(20, 256), cfg(45, 256), cfg(3, 256)};
+  std::vector<BlockFn> fns(cfgs.size(), fn);
+  auto run = [&](Device& d) {
+    d.launch(cfg(37, 128), fn);
+    d.launch_concurrent(cfgs, fns, 2);
+    d.launch(cfg(200, 256), fn);
+  };
+  auto warm = [&](Device& d) { d.launch(cfg(11, 64), fn); };
+
+  Device recorder(spec(), ExecMode::TimingOnly);
+  recorder.start_log();
+  run(recorder);
+  const LaunchLog log = recorder.take_log();
+  ASSERT_EQ(log.launches.size(), 3u);
+  ASSERT_EQ(log.records.size(), 5u);
+
+  Device live(spec(), ExecMode::TimingOnly);
+  Device replayed(spec(), ExecMode::TimingOnly);
+  warm(live);
+  warm(replayed);
+  run(live);
+  replayed.replay(log);
+  const double tl = live.time();
+  const double tr = replayed.time();
+  EXPECT_EQ(0, std::memcmp(&tl, &tr, sizeof tl));
+  const auto& a = live.timeline().records();
+  const auto& b = replayed.timeline().records();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name);
+    EXPECT_EQ(0, std::memcmp(&a[i].start, &b[i].start, sizeof(double))) << i;
+    EXPECT_EQ(0, std::memcmp(&a[i].end, &b[i].end, sizeof(double))) << i;
+    EXPECT_EQ(a[i].stream, b[i].stream) << i;
+    EXPECT_EQ(a[i].grid_blocks, b[i].grid_blocks) << i;
+    EXPECT_EQ(a[i].resident_per_sm, b[i].resident_per_sm) << i;
+    EXPECT_DOUBLE_EQ(a[i].flops, b[i].flops) << i;
+  }
 }
 
 TEST(Device, StreamsRespectPerStreamOrdering) {

@@ -527,7 +527,17 @@ int run(const CliOptions& o) {
 
 int main(int argc, char** argv) {
   const CliOptions o = parse(argc, argv);
-  if (o.threads > 0) vbatch::util::set_host_threads(static_cast<unsigned>(o.threads));
+  // Resolve the host pool size up front: a malformed VBATCH_NUM_THREADS
+  // exits 2 with its name instead of aborting mid-run.
+  try {
+    if (o.threads > 0)
+      vbatch::util::set_host_threads(static_cast<unsigned>(o.threads));
+    else
+      (void)vbatch::util::host_threads();
+  } catch (const vbatch::Error& err) {
+    std::fprintf(stderr, "vbatch_cli: %s\n", err.what());
+    return 2;
+  }
   if (o.serve) return run_serve(o);
   return o.double_precision ? run<double>(o) : run<float>(o);
 }
