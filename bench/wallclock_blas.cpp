@@ -10,12 +10,20 @@
 //           profile — exactly the pre-vectorization engine;
 //   blk     the packed engine under the active ISA and profile.
 //
-// Two regression gates ride on the sweep (evaluated only when the bearing
+// It also measures the small-order kernels (blas/small_kernels.hpp) at every
+// --sizes entry n <= 128, reference loops (ForceRef) against the production
+// dispatch (Auto): potf2 on an n×n diagonal block, and the panel trsm of an
+// n×32 panel (ib = 32, the fused step's widest diagonal block).
+//
+// Three regression gates ride on the sweep (evaluated only when the bearing
 // sizes are in --sizes, so trimmed runs stay cheap):
 //   * NT vector gate — on a vector ISA, blk NT-gemm must be >= 2x the
 //     scalar engine at every n in {128, 256, 384};
 //   * NN n=512 gate — blk NN at 512 must hold >= 0.9x its n=384 rate (the
-//     balanced NC split removed the historical tail dip; this keeps it out).
+//     balanced NC split removed the historical tail dip; this keeps it out);
+//   * small-order gate — where the active ISA has small-order kernels
+//     (avx2, avx512), potf2 at n = 32 and the panel trsm at m = 96 must
+//     each run >= 2x the reference loops.
 //
 // Part 2 measures the end-to-end Full-mode wall clock of a vbatched
 // Cholesky run with the engine disabled (ForceRef) and enabled (Auto, the
@@ -208,6 +216,47 @@ struct SweepCase {
   }
 };
 
+// One small-order size n: potf2 of an n×n SPD block and the panel solve
+// X·Lᵀ = B of an n×kIb panel, with each configuration's best seconds.
+struct SmallCase {
+  static constexpr index_t kIb = 32;
+  index_t n;
+  std::vector<double> spd, work, tri, rhs0, rhs;
+  double potf2_flops, trsm_flops;
+  struct Best {
+    double potf2 = 1e300, trsm = 1e300;
+  } ref, vec;
+
+  SmallCase(Rng& rng, int ni)
+      : n(ni),
+        spd(static_cast<std::size_t>(n * n)),
+        work(spd.size()),
+        tri(static_cast<std::size_t>(kIb * kIb)),
+        rhs0(static_cast<std::size_t>(n * kIb)),
+        rhs(rhs0.size()),
+        potf2_flops(flops::potrf(n)),
+        trsm_flops(flops::trsm(n, kIb, false)) {
+    fill_spd(rng, spd.data(), n, n);
+    fill_general(rng, rhs0.data(), n, kIb, n);
+    fill_general(rng, tri.data(), kIb, kIb, kIb);
+    MatrixView<double> triv(tri.data(), kIb, kIb, kIb);
+    for (index_t d = 0; d < kIb; ++d) triv(d, d) = 4.0 + static_cast<double>(d);
+  }
+
+  void measure(Best& best) {
+    best.potf2 = std::min(best.potf2, time_op(potf2_flops, [&] {
+      work = spd;
+      (void)blas::potf2<double>(Uplo::Lower, MatrixView<double>(work.data(), n, n, n));
+    }));
+    best.trsm = std::min(best.trsm, time_op(trsm_flops, [&] {
+      rhs = rhs0;
+      blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0,
+                         ConstMatrixView<double>(tri.data(), kIb, kIb, kIb),
+                         MatrixView<double>(rhs.data(), n, kIb, n));
+    }));
+  }
+};
+
 std::string json_array(const std::vector<double>& v) {
   std::string out = "[";
   char buf[32];
@@ -291,6 +340,11 @@ int main(int argc, char** argv) {
   std::vector<SweepCase> cases;
   cases.reserve(o.sizes.size());
   for (int n : o.sizes) cases.emplace_back(rng, n);
+  // Own stream, so the level-3 series keep their historical inputs.
+  Rng small_rng(o.seed + 2);
+  std::vector<SmallCase> small;
+  for (int n : o.sizes)
+    if (n <= 128) small.emplace_back(small_rng, n);
 
   // The sweep runs --reps rounds over every size and configuration, and
   // each (size, configuration) keeps its best sample. Interleaving spreads
@@ -317,6 +371,14 @@ int main(int argc, char** argv) {
         blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
         sc.measure(sc.blk);
       }
+    }
+    for (SmallCase& sc : small) {
+      {
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceRef);
+        sc.measure(sc.ref);
+      }
+      blas::micro::DispatchGuard guard(blas::micro::Dispatch::Auto);
+      sc.measure(sc.vec);
     }
   }
 
@@ -383,6 +445,31 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Small-order rows, and gate 3: where the active ISA has small-order
+  // kernels, potf2 at n = 32 and the panel trsm at m = 96 run >= 2x the
+  // reference loops.
+  std::vector<int> small_sizes;
+  std::vector<double> potf2_ref, potf2_vec, trsm_panel_ref, trsm_panel_vec;
+  double small_min_ratio = 1e300;
+  if (!small.empty())
+    std::printf("  %5s | %19s | %19s   (trsm: n x %d panel)\n", "n", "potf2 ref/vec Gf/s",
+                "trsm ref/vec Gf/s", static_cast<int>(SmallCase::kIb));
+  for (const SmallCase& sc : small) {
+    small_sizes.push_back(static_cast<int>(sc.n));
+    potf2_ref.push_back(sc.potf2_flops / sc.ref.potf2 * 1e-9);
+    potf2_vec.push_back(sc.potf2_flops / sc.vec.potf2 * 1e-9);
+    trsm_panel_ref.push_back(sc.trsm_flops / sc.ref.trsm * 1e-9);
+    trsm_panel_vec.push_back(sc.trsm_flops / sc.vec.trsm * 1e-9);
+    std::printf("  %5d | %8.2f/%8.2f | %8.2f/%8.2f\n", static_cast<int>(sc.n), potf2_ref.back(),
+                potf2_vec.back(), trsm_panel_ref.back(), trsm_panel_vec.back());
+    if (sc.n == 32) small_min_ratio = std::min(small_min_ratio, sc.ref.potf2 / sc.vec.potf2);
+    if (sc.n == 96) small_min_ratio = std::min(small_min_ratio, sc.ref.trsm / sc.vec.trsm);
+  }
+  const bool small_gate_ran = (isa == blas::micro::Isa::Avx2 || isa == blas::micro::Isa::Avx512) &&
+                              small_min_ratio < 1e299;
+  const bool small_2x_ok = !small_gate_ran || small_min_ratio >= 2.0;
+  if (small_min_ratio > 1e299) small_min_ratio = 0.0;
+
   // End-to-end Full-mode wall clock, engine off vs on, per distribution.
   struct E2ePoint {
     SizeDist dist;
@@ -423,6 +510,9 @@ int main(int argc, char** argv) {
   if (nn512_ratio > 0.0)
     std::printf("  NN n=512 gate (>=0.9x of n=384): %.2fx (%s)\n", nn512_ratio,
                 nn512_ok ? "PASS" : "FAIL");
+  if (small_gate_ran)
+    std::printf("  small-order gate (>=2.0x ref: potf2 n=32, panel trsm m=96): %.2fx (%s)\n",
+                small_min_ratio, small_2x_ok ? "PASS" : "FAIL");
   std::printf("  residual gates: %s\n", residual_ok ? "PASS" : "FAIL");
 
   std::string json = std::string("{\"bench\":\"wallclock_blas\",\"isa\":\"") + to_string(isa) +
@@ -437,15 +527,22 @@ int main(int argc, char** argv) {
   add_series("gemm_nt", gemm_nt);
   add_series("syrk", syrk_s);
   add_series("trsm", trsm_s);
+  json += ",\"small_sizes\":" + json_int_array(small_sizes);
+  json += ",\"potf2_ref_gflops\":" + json_array(potf2_ref);
+  json += ",\"potf2_vec_gflops\":" + json_array(potf2_vec);
+  json += ",\"trsm_panel_ref_gflops\":" + json_array(trsm_panel_ref);
+  json += ",\"trsm_panel_vec_gflops\":" + json_array(trsm_panel_vec);
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 ",\"gemm_min_speedup_nn_64up\":%.3f,\"gemm_min_speedup_nt_64up\":%.3f,"
                 "\"nt_vector_min_ratio\":%.3f,\"nt_vector_2x_ok\":%s,"
                 "\"nn512_ratio\":%.3f,\"nn512_ok\":%s,"
+                "\"small_min_ratio\":%.3f,\"small_2x_ok\":%s,"
                 "\"e2e_batch\":%d,\"e2e_nmax\":%d,\"residual_ok\":%s,\"e2e\":[",
                 min_speedup_nn, min_speedup_nt, min_vector_ratio_nt,
                 nt_vector_2x_ok ? "true" : "false", nn512_ratio, nn512_ok ? "true" : "false",
-                o.batch, o.nmax, residual_ok ? "true" : "false");
+                small_min_ratio, small_2x_ok ? "true" : "false", o.batch, o.nmax,
+                residual_ok ? "true" : "false");
   json += buf;
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const E2ePoint& pt = e2e[i];
@@ -470,7 +567,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAILED: residual gate or info check failed\n");
     return 1;
   }
-  if (!nt_vector_2x_ok || !nn512_ok) {
+  if (!nt_vector_2x_ok || !nn512_ok || !small_2x_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

@@ -1,19 +1,28 @@
 #include <cmath>
 
 #include "vbatch/blas/blas.hpp"
+#include "vbatch/blas/small_kernels.hpp"
 #include "vbatch/util/error.hpp"
 
 namespace vbatch::blas {
 
 // Unblocked Cholesky; for complex scalars this is the Hermitian xPOTF2
 // (A = L·Lᴴ / UᴴU): the pivot is the real part of the diagonal and the
-// column recurrences conjugate the already-factored rows.
+// column recurrences conjugate the already-factored rows. Real Lower runs
+// the bit-identical small-order kernel when it is active
+// (small_kernels.hpp); these loops are its oracle.
 template <typename T>
 int potf2(Uplo uplo, MatrixView<T> a) {
   const index_t n = a.rows();
   require(a.cols() == n, "potf2: A must be square");
   using R = real_t<T>;
 
+#if defined(VBATCH_HAVE_AVX2_TU)
+  if constexpr (!is_complex_v<T>) {
+    if (uplo == Uplo::Lower && micro::small_kernels_active())
+      return micro::detail::potf2_lower_avx2(n, a.data(), a.ld());
+  }
+#endif
   if (uplo == Uplo::Lower) {
     for (index_t j = 0; j < n; ++j) {
       R ajj = real_val(a(j, j));

@@ -2,6 +2,7 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
+#include "vbatch/blas/small_kernels.hpp"
 #include "vbatch/util/error.hpp"
 
 namespace vbatch::blas {
@@ -19,6 +20,27 @@ void trsm_check(Side side, ConstMatrixView<T> a, MatrixView<T> b) {
   require(a.rows() == ka && a.cols() == ka, "trsm: A dimension mismatch");
 }
 
+// The Cholesky panel solve (Right/Lower/Trans, alpha = 1) on the
+// bit-identical small-order kernel when it is active (small_kernels.hpp).
+// Returns false, leaving b untouched, for every other case.
+template <typename T>
+bool trsm_small([[maybe_unused]] Side side, [[maybe_unused]] Uplo uplo,
+                [[maybe_unused]] Trans trans, [[maybe_unused]] Diag diag,
+                [[maybe_unused]] T alpha, [[maybe_unused]] ConstMatrixView<T> a,
+                [[maybe_unused]] MatrixView<T> b) {
+#if defined(VBATCH_HAVE_AVX2_TU)
+  if constexpr (!is_complex_v<T>) {
+    if (side == Side::Right && uplo == Uplo::Lower && trans == Trans::Trans && alpha == T(1) &&
+        micro::small_kernels_active()) {
+      micro::detail::trsm_rlt_avx2(b.rows(), b.cols(), a.data(), a.ld(), b.data(), b.ld(),
+                                   diag == Diag::Unit);
+      return true;
+    }
+  }
+#endif
+  return false;
+}
+
 // Recursive triangular solve with unit alpha: split A into a 2×2 block
 // triangle, solve the independent half first, subtract the coupling block
 // product (a gemm, where the flops are), then solve the other half. The
@@ -29,7 +51,8 @@ void trsm_rec(Side side, Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a
               MatrixView<T> b) {
   const index_t ka = a.rows();
   if (ka <= kTrsmBaseOrder) {
-    trsm_ref<T>(side, uplo, trans, diag, T(1), a, b);
+    if (!trsm_small(side, uplo, trans, diag, T(1), a, b))
+      trsm_ref<T>(side, uplo, trans, diag, T(1), a, b);
     return;
   }
   const index_t h = ka / 2;
@@ -194,7 +217,8 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView
        (d == micro::Dispatch::Auto &&
         work >= 8.0 * micro::shape_of<T>(micro::active_profile()).min_mnk));
   if (!blocked) {
-    trsm_ref(side, uplo, trans, diag, alpha, a, b);
+    if (!trsm_small(side, uplo, trans, diag, alpha, a, b))
+      trsm_ref(side, uplo, trans, diag, alpha, a, b);
     return;
   }
   if (alpha != T(1)) {

@@ -1,6 +1,8 @@
 #include "vbatch/hetero/executor.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "vbatch/cpu/cpu_batched.hpp"
@@ -46,9 +48,12 @@ GpuExecutor::GpuExecutor(std::string name, const sim::DeviceSpec& spec,
   // (or a caller shrinks it).
   double budget = static_cast<double>(spec.global_mem_bytes);
   if (const char* env = std::getenv("VBATCH_ARENA_GB"); env != nullptr && *env != '\0') {
+    // strtod alone would also take leading whitespace, "inf" and values
+    // that overflow to infinity; none of them is a budget.
     char* end = nullptr;
     const double gb = std::strtod(env, &end);
-    require(end != env && *end == '\0' && gb > 0.0,
+    require(std::isspace(static_cast<unsigned char>(*env)) == 0 && end != env && *end == '\0' &&
+                std::isfinite(gb) && gb > 0.0,
             "GpuExecutor: VBATCH_ARENA_GB must be a positive number");
     budget = gb * 1024.0 * 1024.0 * 1024.0;
   }

@@ -1,6 +1,7 @@
 #include "vbatch/sim/device.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "vbatch/util/error.hpp"
@@ -35,7 +36,10 @@ void* Device::device_malloc(std::size_t bytes) {
     fake_allocs_.emplace(tag, bytes);
     return tag;
   }
-  auto storage = std::make_unique<char[]>(bytes);
+  // Left uninitialized, like cudaMalloc: every payload is written (fill,
+  // copy or kernel output) before it is read, and zeroing a Full-mode slab
+  // cost a full memset per launch.
+  auto storage = std::make_unique_for_overwrite<char[]>(bytes);
   void* p = storage.get();
   allocs_.emplace(p, std::make_pair(std::move(storage), bytes));
   return p;

@@ -9,10 +9,13 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
+#include "vbatch/core/batch.hpp"
 #include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/util/rng.hpp"
 
@@ -374,6 +377,175 @@ TEST(FusedStepMicrokernel, BlockedPotrfResidualBothModes) {
                                            ConstMatrixView<double>(orig.data(), n, n, n),
                                            ConstMatrixView<double>(a.data(), n, n, n)),
               1e-14);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Small-order kernels (blas/small_kernels.hpp): potf2 Lower and the Cholesky
+// panel trsm must leave the reference loops' bytes — the whole buffer, guard
+// rows included, and the info — at every ISA the host runs and under every
+// dispatch pin that can select them.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class SmallKernels : public ::testing::Test {};
+
+using RealPrecisions = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(SmallKernels, RealPrecisions);
+
+std::vector<std::pair<Isa, Dispatch>> small_kernel_configs() {
+  std::vector<std::pair<Isa, Dispatch>> out;
+  for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512})
+    if (isa_supported(isa))
+      for (Dispatch d : {Dispatch::Auto, Dispatch::ForceBlocked}) out.emplace_back(isa, d);
+  return out;
+}
+
+// Runs `op` (buffer → info) on a copy of `input` under ForceRef — the
+// reference loops — and on a fresh copy under every configuration; each
+// must reproduce the oracle's bytes and info.
+template <typename T, typename Op>
+void expect_reference_bytes(const std::vector<T>& input, Op op, const std::string& what) {
+  std::vector<T> want = input;
+  int want_info = 0;
+  {
+    DispatchGuard ref(Dispatch::ForceRef);
+    want_info = op(want);
+  }
+  for (const auto& [isa, d] : small_kernel_configs()) {
+    IsaGuard ig(isa);
+    DispatchGuard dg(d);
+    std::vector<T> got = input;
+    const int info = op(got);
+    EXPECT_EQ(info, want_info) << what << " isa=" << to_string(isa);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)), 0)
+        << what << " isa=" << to_string(isa) << " dispatch=" << static_cast<int>(d);
+  }
+}
+
+TYPED_TEST(SmallKernels, Potf2LowerMatchesReferenceBytes) {
+  using T = TypeParam;
+  std::vector<index_t> orders;
+  for (index_t n = 0; n <= 40; ++n) orders.push_back(n);
+  for (index_t n : {64, 100, 128}) orders.push_back(n);
+  Rng rng(53);
+  for (index_t n : orders) {
+    const index_t ld = n + 3;
+    const index_t cols = std::max<index_t>(n, 1);
+    std::vector<T> spd(static_cast<std::size_t>(ld * cols) + 5);
+    fill_general(rng, spd.data(), ld, cols, ld);  // guard rows hold live values
+    if (n > 0) fill_spd(rng, spd.data(), n, ld);
+    auto run = [n, ld](std::vector<T>& buf) {
+      return blas::potf2<T>(Uplo::Lower, MatrixView<T>(buf.data(), n, n, ld));
+    };
+    expect_reference_bytes(spd, run, "spd n=" + std::to_string(n));
+    if (n == 0) continue;
+    // A non-positive pivot at the first, a middle and the last column, and
+    // a NaN pivot: the factor stops there with the same partial bytes.
+    for (index_t c : {index_t{0}, n / 2, n - 1}) {
+      auto bad = spd;
+      bad[static_cast<std::size_t>(c + c * ld)] = -static_cast<T>(n * n);
+      expect_reference_bytes(bad, run, "non-spd n=" + std::to_string(n) + " c=" + std::to_string(c));
+    }
+    auto nan = spd;
+    nan[static_cast<std::size_t>(n / 2 + (n / 2) * ld)] = std::numeric_limits<T>::quiet_NaN();
+    expect_reference_bytes(nan, run, "nan pivot n=" + std::to_string(n));
+  }
+}
+
+TYPED_TEST(SmallKernels, PanelTrsmMatchesReferenceBytes) {
+  using T = TypeParam;
+  Rng rng(59);
+  for (index_t k = 1; k <= 32; ++k) {
+    // L: positive diagonal; exact zeros (+0 and -0) below it hit the
+    // reference's skip of zero multipliers. For even k all of column 0 is
+    // zero, so the NaN planted in X(:, 0) below reaches no other column —
+    // unless a kernel multiplies instead of skipping.
+    const index_t lda = k + 1;
+    std::vector<T> tri(static_cast<std::size_t>(lda * k));
+    fill_general(rng, tri.data(), lda, k, lda);
+    MatrixView<T> tv(tri.data(), k, k, lda);
+    for (index_t j = 0; j < k; ++j) {
+      tv(j, j) = static_cast<T>(2.0 + 0.25 * static_cast<double>(j));
+      for (index_t l = 0; l < j; ++l)
+        if ((7 * j + l) % 5 == 0 || (l == 0 && k % 2 == 0))
+          tv(j, l) = (j + l) % 2 == 0 ? T(0) : -T(0);
+    }
+    const ConstMatrixView<T> a(tri.data(), k, k, lda);
+    for (index_t m = 0; m <= 130; ++m) {
+      const index_t ldb = m + 2;
+      std::vector<T> b(static_cast<std::size_t>(ldb * k) + 5);
+      fill_general(rng, b.data(), ldb, k, ldb);
+      if (m > 0 && m % 4 == 0) {
+        b[static_cast<std::size_t>(m / 2)] = std::numeric_limits<T>::quiet_NaN();
+        b[static_cast<std::size_t>(m - 1 + (k - 1) * ldb)] = std::numeric_limits<T>::infinity();
+      }
+      const Diag diag = (m + k) % 3 == 0 ? Diag::Unit : Diag::NonUnit;
+      auto run = [&](std::vector<T>& buf) {
+        blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, diag, T(1), a,
+                      MatrixView<T>(buf.data(), m, k, ldb));
+        return 0;
+      };
+      expect_reference_bytes(b, run, "m=" + std::to_string(m) + " k=" + std::to_string(k));
+    }
+  }
+}
+
+// One fused left-looking Cholesky step as its three calls, with potf2 and
+// trsm pinned to the reference loops; the rank-k gemm runs under whatever
+// ISA and dispatch are active, exactly as in fused_step_math.
+template <typename T>
+int reference_fused_step(MatrixView<T> A, int step, int nb) {
+  const index_t n = A.rows();
+  const index_t j = static_cast<index_t>(step) * nb;
+  const index_t m = n - j;
+  const index_t ib = std::min<index_t>(nb, m);
+  auto panel = A.block(j, j, m, ib);
+  if (j > 0)
+    blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(-1), A.block(j, 0, m, j),
+                  A.block(j, 0, ib, j), T(1), panel);
+  DispatchGuard ref(Dispatch::ForceRef);
+  const int info = blas::potf2<T>(Uplo::Lower, panel.block(0, 0, ib, ib));
+  if (info == 0 && m > ib)
+    blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
+                  panel.block(0, 0, ib, ib), panel.block(ib, 0, m - ib, ib));
+  return info == 0 ? 0 : static_cast<int>(j) + info;
+}
+
+TYPED_TEST(SmallKernels, FusedStepMatchesReferenceAtEveryIsa) {
+  using T = TypeParam;
+  const std::vector<int> sizes{1, 5, 8, 17, 33, 40, 64, 100};
+  constexpr int kPad = 3;
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
+  Batch<T> batch(q, sizes, kPad);
+  for (int i = 0; i < batch.count(); ++i) {  // guard rows get a marker
+    const auto v = batch.matrix(i);
+    for (index_t c = 0; c < v.cols(); ++c)
+      for (index_t r = 0; r < v.ld(); ++r) v.data()[r + c * v.ld()] = T(-7);
+  }
+  Rng rng(61);
+  batch.fill_spd(rng);
+  batch.matrix(6)(40, 40) = T(-1);  // one factorization fails mid-way
+  for (const auto& [isa, d] : small_kernel_configs()) {
+    IsaGuard ig(isa);
+    DispatchGuard dg(d);
+    for (int nb : {8, 16, 32}) {
+      for (int i = 0; i < batch.count(); ++i) {
+        const auto v = batch.matrix(i);
+        const index_t n = v.rows();
+        const std::vector<T> orig(v.data(), v.data() + v.ld() * n);
+        std::vector<T> fused = orig, ref = orig;
+        MatrixView<T> fv(fused.data(), n, n, v.ld()), rv(ref.data(), n, n, v.ld());
+        int fused_info = 0, ref_info = 0;
+        for (int step = 0; static_cast<index_t>(step) * nb < n && fused_info == 0; ++step)
+          fused_info = kernels::fused_step_math<T>(Uplo::Lower, fv, step, nb);
+        for (int step = 0; static_cast<index_t>(step) * nb < n && ref_info == 0; ++step)
+          ref_info = reference_fused_step<T>(rv, step, nb);
+        EXPECT_EQ(fused_info, ref_info) << "n=" << n << " nb=" << nb << " isa=" << to_string(isa);
+        EXPECT_EQ(std::memcmp(fused.data(), ref.data(), fused.size() * sizeof(T)), 0)
+            << "n=" << n << " nb=" << nb << " isa=" << to_string(isa);
+      }
+    }
   }
 }
 

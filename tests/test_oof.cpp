@@ -522,6 +522,28 @@ TEST(HeteroOofReport, ArenaEnvKnobAppliesOnlyToUnpinnedExecutors) {
   unsetenv("VBATCH_ARENA_GB");
 }
 
+// strtod takes more than a plain positive number: leading whitespace, the
+// infinities, and decimal strings that overflow to infinity. Each one must
+// fail the pool build with the knob's named message.
+TEST(HeteroOofArena, EnvKnobRejectsWhitespaceAndInfinities) {
+  for (const char* bad :
+       {" 2", "\t2", "inf", "INF", "infinity", "-inf", "1e999", "nan", "0", "-1"}) {
+    ASSERT_EQ(0, setenv("VBATCH_ARENA_GB", bad, 1));
+    try {
+      (void)DevicePool::parse("k40c");
+      ADD_FAILURE() << "VBATCH_ARENA_GB=\"" << bad << "\" was accepted";
+    } catch (const vbatch::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("VBATCH_ARENA_GB must be a positive number"),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  ASSERT_EQ(0, setenv("VBATCH_ARENA_GB", "0.5", 1));
+  DevicePool ok = DevicePool::parse("k40c");
+  unsetenv("VBATCH_ARENA_GB");
+  EXPECT_DOUBLE_EQ(ok.executor(0).arena_bytes(), 0.5 * 1024 * 1024 * 1024);
+}
+
 // ---------------------------------------------------------------------------
 // DevicePool ':Ngb' grammar
 // ---------------------------------------------------------------------------

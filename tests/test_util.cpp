@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/util/flops.hpp"
@@ -79,6 +82,39 @@ TEST(Rng, FillSpdIsSymmetricAndDiagonallyDominant) {
                        a[static_cast<std::size_t>(j + i * n)]);
     }
     EXPECT_GT(a[static_cast<std::size_t>(j + j * n)], static_cast<double>(n) - 1.0);
+  }
+}
+
+// The lower triangle is the documented draw sequence, the upper triangle its
+// exact conjugate, and no element past the n rows of a column is written.
+TEST(Rng, FillSpdFollowsTheDrawOrderAndMirrorsExactly) {
+  for (std::int64_t n : {1, 17, 64}) {
+    const std::int64_t ld = n + 5;
+    const double guard = -3.0;
+    std::vector<double> a(static_cast<std::size_t>(ld * n), guard);
+    Rng rng(11);
+    fill_spd(rng, a.data(), n, ld);
+    Rng draws(11);
+    for (std::int64_t j = 0; j < n; ++j) {
+      EXPECT_EQ(a[static_cast<std::size_t>(j + j * ld)], draws.uniform() + static_cast<double>(n));
+      for (std::int64_t i = j + 1; i < n; ++i) {
+        const double v = draws.uniform();
+        ASSERT_EQ(a[static_cast<std::size_t>(i + j * ld)], v) << "n=" << n;
+        ASSERT_EQ(a[static_cast<std::size_t>(j + i * ld)], v) << "n=" << n;
+      }
+      for (std::int64_t i = n; i < ld; ++i)
+        ASSERT_EQ(a[static_cast<std::size_t>(i + j * ld)], guard) << "n=" << n;
+    }
+    std::vector<std::complex<float>> c(static_cast<std::size_t>(ld * n));
+    Rng crng(13);
+    fill_spd(crng, c.data(), n, ld);
+    for (std::int64_t j = 0; j < n; ++j) {
+      EXPECT_EQ(c[static_cast<std::size_t>(j + j * ld)].imag(), 0.0f);
+      for (std::int64_t i = j + 1; i < n; ++i)
+        ASSERT_EQ(c[static_cast<std::size_t>(j + i * ld)],
+                  std::conj(c[static_cast<std::size_t>(i + j * ld)]))
+            << "n=" << n;
+    }
   }
 }
 
